@@ -8,86 +8,17 @@ uses the machinery to produce Fermat quotients, a full verification of
 p | a^p - a, a Wieferich-prime scanner, and the partition-number product.
 """
 
-from .congruences import (
-    FermatWitness,
-    PartitionTable,
-    RationalFamily,
-    WieferichScanReport,
-    fermat_check,
-    fermat_quotient_via_product,
-    fermat_witness,
-    is_prime,
-    is_wieferich,
-    partition_numbers,
-    primes_in_range,
-    rational_family_series,
-    wieferich_scan,
-)
-from .errors import (
-    IdentityViolationError,
-    NonUnitConstantError,
-    NotPrimeError,
-    NotRealizableError,
-    OrderMismatchError,
-)
-from .ghost import (
-    exponents_from_ghost,
-    ghost_from_exponents,
-    verify_reciprocal_identity,
-)
-from .products import (
-    ProductExpansion,
-    expand_to_product,
-    inverse_sequence,
-    product_to_series,
-    tilde_transform,
-)
-from .series import (
-    GhostSequence,
-    TruncatedSeries,
-    derivative,
-    make_series,
-    mul,
-    neg_x_log_derivative,
-    reciprocal,
-    truncate,
-)
+from . import congruences, errors, ghost, products, series
+from .congruences import *
+from .errors import *
+from .ghost import *
+from .products import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TruncatedSeries",
-    "GhostSequence",
-    "ProductExpansion",
-    "RationalFamily",
-    "FermatWitness",
-    "WieferichScanReport",
-    "PartitionTable",
-    "make_series",
-    "truncate",
-    "mul",
-    "reciprocal",
-    "derivative",
-    "neg_x_log_derivative",
-    "expand_to_product",
-    "product_to_series",
-    "inverse_sequence",
-    "tilde_transform",
-    "ghost_from_exponents",
-    "exponents_from_ghost",
-    "verify_reciprocal_identity",
-    "rational_family_series",
-    "fermat_quotient_via_product",
-    "fermat_witness",
-    "fermat_check",
-    "is_prime",
-    "is_wieferich",
-    "wieferich_scan",
-    "partition_numbers",
-    "primes_in_range",
-    "OrderMismatchError",
-    "NonUnitConstantError",
-    "NotPrimeError",
-    "NotRealizableError",
-    "IdentityViolationError",
-]
+# each layer's __all__ is the one list of its public names
+__all__ = list(dict.fromkeys(
+    series.__all__ + products.__all__ + ghost.__all__ + congruences.__all__
+    + errors.__all__
+))

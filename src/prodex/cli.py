@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .congruences import (
     fermat_check,
@@ -39,7 +39,7 @@ from .products import (
     product_to_series,
     tilde_transform,
 )
-from .series import GhostSequence, TruncatedSeries, make_series
+from .series import GhostSequence, TruncatedSeries, _parse_int, _Record
 
 BUILTIN_DEFAULT_ORDER = 64
 ORDER_ENV_VAR = "PRODEX_DEFAULT_ORDER"
@@ -75,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# input plumbing
+# input and output plumbing
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -83,7 +83,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if items == [""]:
         raise _UsageError(f"empty {what} list")
     try:
-        return [int(piece, 10) for piece in items]
+        return [_parse_int(piece) for piece in items]
     except ValueError:
         raise _UsageError(f"could not parse {what} as a comma-separated "
                           f"integer list: {text!r}") from None
@@ -102,15 +102,6 @@ def _load_input_file(path: str) -> dict:
     return data
 
 
-def _resize(values: list[int], length: int, what: str) -> list[int]:
-    """Zero-pad or truncate to the requested length."""
-    if length <= 0:
-        raise _UsageError(f"{what} cannot be resized to length {length}")
-    if len(values) < length:
-        return values + [0] * (length - len(values))
-    return values[:length]
-
-
 def _effective_order(args, cfg: CliConfig, intrinsic: int | None) -> int:
     if getattr(args, "order", None) is not None:
         return args.order
@@ -119,161 +110,71 @@ def _effective_order(args, cfg: CliConfig, intrinsic: int | None) -> int:
     return cfg.default_order
 
 
-def _series_input(args, cfg: CliConfig) -> TruncatedSeries:
-    """Series from --coeffs or --input, resized to the effective order."""
-    if args.coeffs is not None and args.input is not None:
-        raise _UsageError("give either --coeffs or --input, not both")
-    if args.coeffs is not None:
-        coeffs = _parse_int_list(args.coeffs, "coefficient")
-    elif args.input is not None:
+def _read_record(args, cfg: CliConfig, kind: type[_Record]) -> _Record:
+    """The input record from --<FIELD>, --input or --ones, zero-padded or
+    truncated to the effective order."""
+    inline = getattr(args, kind.FIELD)
+    ones = getattr(args, "ones", False)
+    flags = [f"--{kind.FIELD}", "--input"] + (["--ones"] if "ones" in args else [])
+    given = (inline is not None) + (args.input is not None) + ones
+    if given > 1:
+        raise _UsageError("give only one of " + ", ".join(flags))
+    if not given:
+        raise _UsageError(f"{kind.FIELD} required: one of " + ", ".join(flags))
+    if ones:
+        values = [1] * _effective_order(args, cfg, intrinsic=None)
+    elif inline is not None:
+        values = _parse_int_list(inline, kind.FIELD)
+    else:
         data = _load_input_file(args.input)
         try:
-            coeffs = list(TruncatedSeries.from_json_dict(data).coeffs)
+            values = list(getattr(kind.from_json_dict(data), kind.FIELD))
         except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"{args.input}: bad series record: {exc}") from None
-    else:
-        raise _UsageError("a series is required: --coeffs or --input")
-    order = _effective_order(args, cfg, intrinsic=len(coeffs) - 1)
-    return make_series(_resize(coeffs, order + 1, "series"))
+            raise _UsageError(f"{args.input}: bad {kind.FIELD} record: {exc}") from None
+    intrinsic = len(values) + kind.START - 1
+    length = _effective_order(args, cfg, intrinsic) + 1 - kind.START
+    return kind(tuple(values[:length] + [0] * (length - len(values))))
 
 
-def _exponents_input(args, cfg: CliConfig) -> ProductExpansion:
-    """Exponents from --exponents, --input, or --ones."""
-    sources = [
-        args.exponents is not None,
-        args.input is not None,
-        getattr(args, "ones", False),
-    ]
-    if sum(sources) > 1:
-        raise _UsageError("give only one of --exponents, --input, --ones")
-    if getattr(args, "ones", False):
-        order = _effective_order(args, cfg, intrinsic=None)
-        return ProductExpansion((1,) * order)
-    if args.exponents is not None:
-        exps = _parse_int_list(args.exponents, "exponent")
-    elif args.input is not None:
-        data = _load_input_file(args.input)
-        try:
-            exps = list(ProductExpansion.from_json_dict(data).exponents)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"{args.input}: bad expansion record: {exc}") from None
-    else:
-        raise _UsageError("exponents are required: --exponents, --input, or --ones")
-    order = _effective_order(args, cfg, intrinsic=len(exps))
-    return ProductExpansion(tuple(_resize(exps, order, "exponents")))
-
-
-def _ghost_input(args, cfg: CliConfig) -> GhostSequence:
-    if args.values is not None and args.input is not None:
-        raise _UsageError("give either --values or --input, not both")
-    if args.values is not None:
-        values = _parse_int_list(args.values, "ghost value")
-    elif args.input is not None:
-        data = _load_input_file(args.input)
-        try:
-            values = list(GhostSequence.from_json_dict(data).values)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"{args.input}: bad ghost record: {exc}") from None
-    else:
-        raise _UsageError("ghost values are required: --values or --input")
-    order = _effective_order(args, cfg, intrinsic=len(values))
-    return GhostSequence(tuple(_resize(values, order, "ghost values")))
-
-
-# ---------------------------------------------------------------------------
-# output plumbing
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
-def _indexed_lines(values, start: int) -> list[str]:
-    return [f"{k} {v}" for k, v in enumerate(values, start=start)]
-
-
-def _emit_series(f: TruncatedSeries, fmt: str) -> None:
+def _emit(record, fmt: str, plain: str | None = None) -> None:
+    """Print a record (or a ready JSON dict) as one JSON line, or as plain
+    text: `plain` if given, else the record's own "k v" lines."""
     if fmt == "json":
-        _emit_json(f.to_json_dict())
+        print(json.dumps(record if isinstance(record, dict) else record.to_json_dict()))
     else:
-        print("\n".join(_indexed_lines(f.coeffs, start=0)))
-
-
-def _emit_expansion(m: ProductExpansion, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(m.to_json_dict())
-    else:
-        print("\n".join(_indexed_lines(m.exponents, start=1)))
-
-
-def _emit_ghost(g: GhostSequence, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(g.to_json_dict())
-    else:
-        print("\n".join(_indexed_lines(g.values, start=1)))
+        print(record.to_plain() if plain is None else plain)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_expand(args, cfg: CliConfig) -> int:
-    _emit_expansion(expand_to_product(_series_input(args, cfg)), cfg.output_format)
-    return EXIT_OK
-
-
-def _cmd_series(args, cfg: CliConfig) -> int:
-    _emit_series(product_to_series(_exponents_input(args, cfg)), cfg.output_format)
-    return EXIT_OK
-
-
-def _cmd_invert(args, cfg: CliConfig) -> int:
-    result = inverse_sequence(_exponents_input(args, cfg))
-    if args.tilde:
+def _cmd_sequence(args, cfg: CliConfig) -> int:
+    result = args.operation(_read_record(args, cfg, args.kind))
+    if getattr(args, "tilde", False):
         result = tilde_transform(result)
-    _emit_expansion(result, cfg.output_format)
-    return EXIT_OK
-
-
-def _cmd_ghost(args, cfg: CliConfig) -> int:
-    _emit_ghost(ghost_from_exponents(_exponents_input(args, cfg)), cfg.output_format)
-    return EXIT_OK
-
-
-def _cmd_unghost(args, cfg: CliConfig) -> int:
-    _emit_expansion(exponents_from_ghost(_ghost_input(args, cfg)), cfg.output_format)
+    _emit(result, cfg.output_format)
     return EXIT_OK
 
 
 def _cmd_family(args, cfg: CliConfig) -> int:
     order = _effective_order(args, cfg, intrinsic=None)
     family = rational_family_series(args.d, order)
-    if args.expand:
-        _emit_expansion(expand_to_product(family), cfg.output_format)
-    else:
-        _emit_series(family, cfg.output_format)
+    _emit(expand_to_product(family) if args.expand else family, cfg.output_format)
     return EXIT_OK
 
 
 def _cmd_fermat(args, cfg: CliConfig) -> int:
     witness = fermat_witness(args.d, args.p)
-    if cfg.output_format == "json":
-        _emit_json(witness.to_json_dict())
-    else:
-        for field in ("d", "p", "m_p", "m_2p", "n_p", "n_2p", "quotient"):
-            print(f"{field} {getattr(witness, field)}")
-        print("identity OK")
+    lines = [f"{k} {v}" for k, v in asdict(witness).items()] + ["identity OK"]
+    _emit(witness, cfg.output_format, "\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_check(args, cfg: CliConfig) -> int:
     ok = fermat_check(args.a, args.p)
-    if cfg.output_format == "json":
-        _emit_json({"a": str(args.a), "p": str(args.p), "ok": ok})
-    else:
-        print(f"a {args.a}")
-        print(f"p {args.p}")
-        print(f"ok {'true' if ok else 'false'}")
+    _emit({"a": str(args.a), "p": str(args.p), "ok": ok}, cfg.output_format,
+          f"a {args.a}\np {args.p}\nok {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_MATH
 
 
@@ -281,14 +182,10 @@ def _cmd_wieferich(args, cfg: CliConfig) -> int:
     if args.lo > args.hi or args.lo < 2:
         raise _UsageError(f"invalid range [{args.lo}, {args.hi}]")
     report = wieferich_scan(args.lo, args.hi, threads=cfg.thread_count)
-    if cfg.output_format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        print(f"lo {report.lo}")
-        print(f"hi {report.hi}")
-        print(f"primes_tested {report.primes_tested}")
-        for p in report.hits:
-            print(f"hit {p}")
+    lines = [f"lo {report.lo}", f"hi {report.hi}",
+             f"primes_tested {report.primes_tested}"]
+    _emit(report, cfg.output_format,
+          "\n".join(lines + [f"hit {p}" for p in report.hits]))
     return EXIT_OK
 
 
@@ -296,10 +193,7 @@ def _cmd_partitions(args, cfg: CliConfig) -> int:
     order = _effective_order(args, cfg, intrinsic=None)
     table = partition_numbers(order)
     if not args.via_product:
-        if cfg.output_format == "json":
-            _emit_json(table.to_json_dict())
-        else:
-            print("\n".join(_indexed_lines(table.values, start=0)))
+        _emit(table, cfg.output_format)
         return EXIT_OK
 
     # reconstruction through the product machinery: the inverse sequence of
@@ -310,10 +204,8 @@ def _cmd_partitions(args, cfg: CliConfig) -> int:
     via = product_to_series(inverse_sequence(ones))
     equal = via.coeffs == table.values
     if cfg.output_format == "json":
-        payload = table.to_json_dict()
-        payload["via_product"] = [str(c) for c in via.coeffs]
-        payload["equal"] = equal
-        _emit_json(payload)
+        _emit({**table.to_json_dict(), "via_product": [str(c) for c in via.coeffs],
+               "equal": equal}, "json")
     else:
         for k, (a, b) in enumerate(zip(table.values, via.coeffs)):
             marker = "" if a == b else "  DIFFERS"
@@ -326,18 +218,21 @@ def _cmd_partitions(args, cfg: CliConfig) -> int:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text, 10)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_flag(minimum: int | None = None):
+    """argparse type: a strict decimal integer, at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = _parse_int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text, 10)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_INLINE_HELP = {"coeffs": "c_0,c_1,...", "exponents": "m_1,m_2,...",
+                "values": "L_1,L_2,..."}
 
 
 def _build_parser() -> _Parser:
@@ -348,7 +243,7 @@ def _build_parser() -> _Parser:
                       help="worker count for the scanner: a number or 'auto'")
 
     common = argparse.ArgumentParser(add_help=False, parents=[base])
-    common.add_argument("--order", type=_positive_int, default=None,
+    common.add_argument("--order", type=_int_flag(1), default=None,
                         help=f"truncation order (default: input length, "
                              f"else {ORDER_ENV_VAR} or {BUILTIN_DEFAULT_ORDER})")
 
@@ -357,63 +252,62 @@ def _build_parser() -> _Parser:
                                  "series and their congruences")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="series coefficients -> product exponents")
-    p.add_argument("--coeffs", help="comma-separated c_0,c_1,...")
-    p.add_argument("--input", help="JSON file {order, coeffs}")
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("series", parents=[common],
-                       help="product exponents -> series coefficients")
-    _add_exponent_args(p)
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("invert", parents=[common],
-                       help="exponents -> inverse sequence (1/f)")
-    _add_exponent_args(p)
-    p.add_argument("--tilde", action="store_true",
-                   help="negate the result (the 1+e_k x^k convention)")
-    p.set_defaults(handler=_cmd_invert)
-
-    p = sub.add_parser("ghost", parents=[common],
-                       help="exponents -> divisor-sum (ghost) values")
-    _add_exponent_args(p)
-    p.set_defaults(handler=_cmd_ghost)
-
-    p = sub.add_parser("unghost", parents=[common],
-                       help="ghost values -> exponents (exact solve)")
-    p.add_argument("--values", help="comma-separated L_1,L_2,...")
-    p.add_argument("--input", help="JSON file {order, values}")
-    p.set_defaults(handler=_cmd_unghost)
+    # name -> (input record, operation, help).  Built on each call rather
+    # than at import, so it binds the module's functions as they are now
+    # (a tracer may have wrapped them).
+    sequence_commands = {
+        "expand": (TruncatedSeries, expand_to_product,
+                   "series coefficients -> product exponents"),
+        "series": (ProductExpansion, product_to_series,
+                   "product exponents -> series coefficients"),
+        "invert": (ProductExpansion, inverse_sequence,
+                   "exponents -> inverse sequence (1/f)"),
+        "ghost": (ProductExpansion, ghost_from_exponents,
+                  "exponents -> divisor-sum (ghost) values"),
+        "unghost": (GhostSequence, exponents_from_ghost,
+                    "ghost values -> exponents (exact solve)"),
+    }
+    for name, (kind, operation, text) in sequence_commands.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument(f"--{kind.FIELD}",
+                       help=f"comma-separated {_INLINE_HELP[kind.FIELD]}")
+        p.add_argument("--input", help=f"JSON file {{order, {kind.FIELD}}}")
+        if kind is ProductExpansion:
+            p.add_argument("--ones", action="store_true",
+                           help="use the all-ones exponent sequence")
+        if name == "invert":
+            p.add_argument("--tilde", action="store_true",
+                           help="negate the result (the 1+e_k x^k convention)")
+        p.set_defaults(handler=_cmd_sequence, kind=kind, operation=operation)
 
     p = sub.add_parser("family", parents=[common],
                        help="the rational family (1-(d+1)x)/(1-dx)")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_flag(), required=True)
     p.add_argument("--expand", action="store_true",
                    help="print the product exponents instead of the series")
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("fermat", parents=[common],
                        help="index-2p identity witness and Fermat quotient")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--p", type=int, required=True, help="an odd prime")
+    p.add_argument("--d", type=_int_flag(1), required=True)
+    p.add_argument("--p", type=_int_flag(), required=True, help="an odd prime")
     p.set_defaults(handler=_cmd_fermat)
 
     p = sub.add_parser("check", parents=[common],
                        help="verify p | a^p - a by two routes")
-    p.add_argument("--a", type=_positive_int, required=True)
-    p.add_argument("--p", type=int, required=True, help="a prime")
+    p.add_argument("--a", type=_int_flag(1), required=True)
+    p.add_argument("--p", type=_int_flag(), required=True, help="a prime")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("wieferich", parents=[common],
                        help="scan a prime range for 2^(p-1) = 1 mod p^2")
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--from", dest="lo", type=_int_flag(), required=True)
+    p.add_argument("--to", dest="hi", type=_int_flag(), required=True)
     p.set_defaults(handler=_cmd_wieferich)
 
     p = sub.add_parser("partitions", parents=[base],
                        help="partition numbers p(0)..p(order)")
-    p.add_argument("--order", type=_non_negative_int, default=None,
+    p.add_argument("--order", type=_int_flag(0), default=None,
                    help="largest n to tabulate (default "
                         f"{ORDER_ENV_VAR} or {BUILTIN_DEFAULT_ORDER})")
     p.add_argument("--via-product", action="store_true",
@@ -424,19 +318,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_exponent_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exponents", help="comma-separated m_1,m_2,...")
-    p.add_argument("--input", help="JSON file {order, exponents}")
-    p.add_argument("--ones", action="store_true",
-                   help="use the all-ones exponent sequence")
-
-
 def _default_order_from_env() -> int:
     raw = os.environ.get(ORDER_ENV_VAR)
     if raw is None:
         return BUILTIN_DEFAULT_ORDER
     try:
-        value = int(raw, 10)
+        value = _parse_int(raw)
     except ValueError:
         raise _UsageError(f"{ORDER_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
@@ -449,7 +336,7 @@ def _config_from_args(args) -> CliConfig:
         threads = os.cpu_count() or 1
     else:
         try:
-            threads = int(args.threads, 10)
+            threads = _parse_int(args.threads)
         except ValueError:
             raise _UsageError(
                 f"--threads must be a number or 'auto', got {args.threads!r}"
@@ -464,6 +351,10 @@ def _config_from_args(args) -> CliConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact answers of any size must print and parse; 3.10 before 3.10.7
+    # has neither the limit nor this switch
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args, _config_from_args(args))

@@ -12,16 +12,15 @@ an independent partition-number oracle for the all-ones product example.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import isqrt
 
 from .errors import IdentityViolationError, NotPrimeError
 from .products import expand_to_product
-from .series import TruncatedSeries, make_series, mul, reciprocal
+from .series import TruncatedSeries, _Record, make_series, mul, reciprocal
 
 __all__ = [
-    "RationalFamily",
     "FermatWitness",
     "WieferichScanReport",
     "PartitionTable",
@@ -121,24 +120,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 # The rational family and its Fermat quotients
 
 
-@dataclass(frozen=True)
-class RationalFamily:
-    """The one-parameter family f = (1-(d+1)x)/(1-dx) at truncation order N.
-
-    Written out, f = 1 - x - d x^2 - d^2 x^3 - ...: the tail at x^(n+1) is
-    -d^n.  Its ghost sequence is (d+1)^N - d^N.
-    """
-
-    d: int
-    order: int
-
-    def series(self) -> TruncatedSeries:
-        return rational_family_series(self.d, self.order)
-
-    def exponents(self):
-        return expand_to_product(self.series())
-
-
 def rational_family_series(d: int, order: int) -> TruncatedSeries:
     """Truncated series of (1-(d+1)x)/(1-dx), checked against that closed
     form by multiplying back with (1-dx)."""
@@ -202,15 +183,7 @@ class FermatWitness:
     quotient: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": str(self.d),
-            "p": str(self.p),
-            "m_p": str(self.m_p),
-            "m_2p": str(self.m_2p),
-            "n_p": str(self.n_p),
-            "n_2p": str(self.n_2p),
-            "quotient": str(self.quotient),
-        }
+        return {k: str(v) for k, v in asdict(self).items()}
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +279,7 @@ def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[int]]:
     lo, hi = bounds
     tested = 0
     hits = []
-    for p in _sieve_segment(lo, hi):
+    for p in primes_in_range(lo, hi):
         tested += 1
         if pow(2, p - 1, p * p) == 1:
             hits.append(p)
@@ -341,18 +314,13 @@ def wieferich_scan(lo: int, hi: int, threads: int = 1) -> WieferichScanReport:
 
 
 @dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(_Record):
     """p(0)..p(N): the number of ways to write n as a sum of positive
     integers."""
 
+    FIELD = "values"
+    START = 0
     values: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "values": [str(v) for v in self.values]}
 
 
 def partition_numbers(order: int) -> PartitionTable:

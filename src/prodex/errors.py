@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OrderMismatchError",
+    "NonUnitConstantError",
+    "NotPrimeError",
+    "NotRealizableError",
+    "IdentityViolationError",
+]
+
 
 class OrderMismatchError(ValueError):
     """Two fixed-order values were combined without equal truncation orders."""

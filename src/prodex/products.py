@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonUnitConstantError
-from .series import TruncatedSeries, _check_ints, _parse_int, reciprocal
+from .series import TruncatedSeries, _Record, reciprocal
 
 __all__ = [
     "ProductExpansion",
@@ -23,7 +23,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ProductExpansion:
+class ProductExpansion(_Record):
     """Exponent sequence m_1..m_N with semantics
     f == prod_{k=1}^{N} (1 - m_k x^k)  mod x^(N+1).
 
@@ -31,30 +31,9 @@ class ProductExpansion:
     internally exponents[k-1] holds m_k.
     """
 
+    FIELD = "exponents"
+    START = 1
     exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.exponents) == 0:
-            raise ValueError("an expansion needs at least one exponent")
-        _check_ints(self.exponents, "exponents")
-
-    @property
-    def order(self) -> int:
-        return len(self.exponents)
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "exponents": [str(e) for e in self.exponents]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProductExpansion":
-        exponents = tuple(_parse_int(e) for e in data["exponents"])
-        expansion = cls(exponents)
-        if "order" in data and int(data["order"]) != expansion.order:
-            raise ValueError(
-                f"order field {data['order']} does not match "
-                f"{len(exponents)} exponents"
-            )
-        return expansion
 
 
 def expand_to_product(f: TruncatedSeries) -> ProductExpansion:

@@ -8,7 +8,7 @@ arithmetic is exact no matter how large the values grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable
 
 from .errors import NonUnitConstantError, OrderMismatchError
 
@@ -24,90 +24,97 @@ __all__ = [
 ]
 
 
-def _check_ints(values: Sequence[int], what: str) -> None:
-    for v in values:
-        if not isinstance(v, int):
-            raise TypeError(f"{what} must be ints, got {type(v).__name__}: {v!r}")
+@dataclass(frozen=True)
+class _Record:
+    """An exact integer sequence whose first entry has index START, held as
+    a tuple in the dataclass field named FIELD.
+
+    This one base gives every sequence record its validation, its order
+    (the index of the last entry), its JSON form and its plain "k v" lines.
+    """
+
+    FIELD: ClassVar[str]
+    START: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        values = getattr(self, self.FIELD)
+        if len(values) == 0:
+            raise ValueError(f"{type(self).__name__} needs at least one value")
+        for v in values:
+            if not isinstance(v, int):
+                raise TypeError(
+                    f"{self.FIELD} must be ints, got {type(v).__name__}: {v!r}"
+                )
+
+    @property
+    def order(self) -> int:
+        return len(getattr(self, self.FIELD)) + self.START - 1
+
+    def to_json_dict(self) -> dict:
+        """JSON form {"order": N, FIELD: [...]} with values as decimal
+        strings, so no consumer can lose precision on big values."""
+        return {"order": self.order,
+                self.FIELD: [str(v) for v in getattr(self, self.FIELD)]}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "_Record":
+        raw = data[cls.FIELD]
+        if not isinstance(raw, list):
+            raise TypeError(f"{cls.FIELD} must be a JSON list")
+        record = cls(tuple(_parse_int(v) for v in raw))
+        if "order" in data and _parse_int(data["order"]) != record.order:
+            raise ValueError(
+                f"order field {data['order']} does not match {len(raw)} {cls.FIELD}"
+            )
+        return record
+
+    def to_plain(self) -> str:
+        """One "index value" line per entry, indices starting at START."""
+        values = getattr(self, self.FIELD)
+        return "\n".join(f"{k} {v}" for k, v in enumerate(values, start=self.START))
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """c_0 + c_1 x + ... + c_N x^N, exact mod x^(N+1).
 
     Immutable; all operations return new values, so instances are safe to
     share between threads.
     """
 
+    FIELD = "coeffs"
+    START = 0
     coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise ValueError("a series needs at least one coefficient")
-        _check_ints(self.coeffs, "series coefficients")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def to_json_dict(self) -> dict:
-        """JSON form {"order": N, "coeffs": [...]} with coefficients as
-        decimal strings, so no consumer can lose precision on big values."""
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncatedSeries":
-        coeffs = tuple(_parse_int(c) for c in data["coeffs"])
-        series = cls(coeffs)
-        if "order" in data and int(data["order"]) != series.order:
-            raise ValueError(
-                f"order field {data['order']} does not match "
-                f"{len(coeffs)} coefficients"
-            )
-        return series
 
 
 @dataclass(frozen=True)
-class GhostSequence:
+class GhostSequence(_Record):
     """Divisor-sum values L_1..L_N: the coefficients of -x (ln f)'.
 
     For f = prod (1 - m_k x^k), L_N = sum over divisors s of N of
     m_{N/s}^s * (N/s).  Index 1-based: values[0] is L_1.
     """
 
+    FIELD = "values"
+    START = 1
     values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError("a ghost sequence needs at least one value")
-        _check_ints(self.values, "ghost values")
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
 
     def negated(self) -> "GhostSequence":
         return GhostSequence(tuple(-v for v in self.values))
 
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "values": [str(v) for v in self.values]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GhostSequence":
-        values = tuple(_parse_int(v) for v in data["values"])
-        seq = cls(values)
-        if "order" in data and int(data["order"]) != seq.order:
-            raise ValueError(
-                f"order field {data['order']} does not match {len(values)} values"
-            )
-        return seq
-
 
 def _parse_int(value) -> int:
-    if isinstance(value, int):
+    """The one integer parser for outside input: a non-bool int, or an
+    ASCII decimal string -?[0-9]+.  int() alone would also take floats,
+    bools, "+1", " 1", "1_0" and digits of other scripts, which isdigit()
+    accepts too unless the string is ASCII."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
-        return int(value, 10)
-    raise TypeError(f"expected a decimal string or int, got {type(value).__name__}")
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    raise ValueError(f"expected a decimal integer, got {value!r}")
 
 
 def make_series(coeffs: Iterable[int]) -> TruncatedSeries:

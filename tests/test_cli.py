@@ -314,3 +314,69 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+# --- exact values of any size ----------------------------------------------------
+
+
+def test_values_past_4300_digits_print(capsys):
+    code, out, _ = run(capsys, "expand", "--coeffs=1,1" + "0" * 4400, "--order", "1")
+    assert code == 0
+    assert out == "1 -1" + "0" * 4400 + "\n"
+
+
+def test_values_past_4300_digits_round_trip(tmp_path, capsys):
+    coeffs = ["1", "1" + "0" * 4400]
+    code, out, _ = run(capsys, "expand", "--coeffs=" + ",".join(coeffs),
+                       "--format", "json")
+    assert code == 0
+    path = tmp_path / "expansion.json"
+    path.write_text(out)
+    code, back, _ = run(capsys, "series", "--input", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(back)["coeffs"] == coeffs
+
+
+# --- strict integer input ----------------------------------------------------------
+
+
+def _bad(case_id, *argv, record=None, env=None):
+    return pytest.param(list(argv), record, env, id=case_id)
+
+
+@pytest.mark.parametrize("argv, record, env", [
+    _bad("json-string-field", "expand", record={"coeffs": "123"}),
+    _bad("json-float-order", "expand", record={"order": 2.9, "coeffs": ["1", "1", "1"]}),
+    _bad("json-bool-order", "expand", record={"order": True, "coeffs": ["1", "1"]}),
+    _bad("json-bool-value", "expand", record={"coeffs": ["1", True]}),
+    _bad("json-float-value", "expand", record={"coeffs": ["1", 2.0]}),
+    _bad("json-arabic-digits", "expand", record={"coeffs": ["1", "\u0661\u0662"]}),
+    _bad("json-underscore", "expand", record={"coeffs": ["1", "1_0"]}),
+    _bad("json-space", "expand", record={"coeffs": ["1", " 1"]}),
+    _bad("json-plus", "expand", record={"coeffs": ["1", "+1"]}),
+    _bad("json-lone-minus", "expand", record={"coeffs": ["1", "-"]}),
+    _bad("inline-plus", "expand", "--coeffs", "1,+1"),
+    _bad("inline-arabic-digit", "expand", "--coeffs", "1,\u0661"),
+    _bad("inline-underscore", "expand", "--coeffs", "1,1_0"),
+    _bad("order-underscore", "expand", "--coeffs", "1,-1", "--order", "1_0"),
+    _bad("order-space", "expand", "--coeffs", "1,-1", "--order", " 3"),
+    _bad("d-arabic-digit", "family", "--d", "\u0661", "--order", "3"),
+    _bad("a-plus", "check", "--a", "+3", "--p", "7"),
+    _bad("to-underscore", "wieferich", "--from", "2", "--to", "1_000"),
+    _bad("threads-arabic-digit", "wieferich", "--from", "2", "--to", "100",
+         "--threads", "\u0662"),
+    _bad("env-underscore", "ghost", "--ones", env="1_0"),
+    _bad("env-arabic-digit", "ghost", "--ones", env="\u0665"),
+])
+def test_non_decimal_input_is_usage_error(tmp_path, capsys, monkeypatch,
+                                          argv, record, env):
+    if record is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(record))
+        argv = argv + ["--input", str(path)]
+    if env is not None:
+        monkeypatch.setenv("PRODEX_DEFAULT_ORDER", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("prodex: error:") and "Traceback" not in err

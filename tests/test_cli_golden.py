@@ -1,0 +1,60 @@
+"""Byte-exact CLI output for every README example, in both formats.
+
+The expected bytes are literals captured from the CLI, so any change to
+the records, the emitters or the argument plumbing that alters a single
+byte of stdout, stderr or the exit code fails here.
+"""
+
+import pytest
+
+from prodex.cli import main
+
+NOT_REALIZABLE = "prodex: not realizable at N=2, remainder 1\n"
+NON_UNIT = "prodex: constant term must be 1, got 2\n"
+
+GOLDEN = [
+    ("expand --coeffs 1,-1,-1 --order 6", 0,
+     "1 1\n2 1\n3 1\n4 1\n5 2\n6 2\n",
+     '{"order": 6, "exponents": ["1", "1", "1", "1", "2", "2"]}\n', ""),
+    ("invert --ones --order 8 --tilde", 0,
+     "1 1\n2 2\n3 1\n4 4\n5 1\n6 0\n7 1\n8 14\n",
+     '{"order": 8, "exponents": ["1", "2", "1", "4", "1", "0", "1", "14"]}\n', ""),
+    ("ghost --ones --order 6", 0,
+     "1 1\n2 3\n3 4\n4 7\n5 6\n6 12\n",
+     '{"order": 6, "values": ["1", "3", "4", "7", "6", "12"]}\n', ""),
+    ("unghost --values 1,3,4,7,6,12", 0,
+     "1 1\n2 1\n3 1\n4 1\n5 1\n6 1\n",
+     '{"order": 6, "exponents": ["1", "1", "1", "1", "1", "1"]}\n', ""),
+    ("family --d 1 --order 8 --expand", 0,
+     "1 1\n2 1\n3 2\n4 3\n5 6\n6 8\n7 18\n8 27\n",
+     '{"order": 8, "exponents": ["1", "1", "2", "3", "6", "8", "18", "27"]}\n', ""),
+    ("fermat --d 1 --p 3", 0,
+     "d 1\np 3\nm_p 1\nm_2p 2\nn_p -1\nn_2p -1\nquotient 2\nidentity OK\n",
+     '{"d": "1", "p": "3", "m_p": "1", "m_2p": "2", "n_p": "-1", "n_2p": "-1", '
+     '"quotient": "2"}\n', ""),
+    ("check --a 10 --p 7", 0,
+     "a 10\np 7\nok true\n",
+     '{"a": "10", "p": "7", "ok": true}\n', ""),
+    ("wieferich --from 2 --to 10000", 0,
+     "lo 2\nhi 10000\nprimes_tested 1229\nhit 1093\nhit 3511\n",
+     '{"lo": 2, "hi": 10000, "primes_tested": 1229, "hits": [1093, 3511]}\n', ""),
+    ("partitions --order 10 --via-product", 0,
+     "0 1 1\n1 1 1\n2 2 2\n3 3 3\n4 5 5\n5 7 7\n6 11 11\n7 15 15\n8 22 22\n"
+     "9 30 30\n10 42 42\nequal true\n",
+     '{"order": 10, "values": ["1", "1", "2", "3", "5", "7", "11", "15", "22", '
+     '"30", "42"], "via_product": ["1", "1", "2", "3", "5", "7", "11", "15", '
+     '"22", "30", "42"], "equal": true}\n', ""),
+    ("unghost --values 1,2", 2, "", "", NOT_REALIZABLE),
+    ("expand --coeffs 2,1", 2, "", "", NON_UNIT),
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("command, code, plain, json_out, err", GOLDEN,
+                         ids=[row[0] for row in GOLDEN])
+def test_cli_bytes(capsys, command, code, plain, json_out, err, fmt):
+    argv = command.split() + (["--format", "json"] if fmt == "json" else [])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == (plain if fmt == "plain" else json_out)
+    assert captured.err == err

@@ -4,6 +4,7 @@ import random
 import pytest
 import sympy
 
+from prodex import congruences
 from prodex import (
     IdentityViolationError,
     NotPrimeError,
@@ -20,7 +21,6 @@ from prodex import (
     reciprocal,
     wieferich_scan,
 )
-from prodex.congruences import RationalFamily
 
 
 # --- rational family ---------------------------------------------------------
@@ -41,12 +41,6 @@ def test_family_series(d, order, expected):
 def test_family_rejects_order_zero():
     with pytest.raises(ValueError):
         rational_family_series(1, 0)
-
-
-def test_family_dataclass_routes():
-    fam = RationalFamily(d=2, order=6)
-    assert fam.series() == rational_family_series(2, 6)
-    assert fam.exponents() == expand_to_product(rational_family_series(2, 6))
 
 
 # --- Fermat quotients --------------------------------------------------------
@@ -234,6 +228,23 @@ def test_scan_independent_of_thread_count():
     pooled = wieferich_scan(2, 3_000_000, threads=3)
     assert single == pooled
     assert json.dumps(single.to_json_dict()) == json.dumps(pooled.to_json_dict())
+
+
+@pytest.mark.parametrize("lo, width", [(2**50, 2000), (2**62, 100)])
+def test_scan_of_large_window_uses_bounded_prime_source(monkeypatch, lo, width):
+    # a base sieve up to isqrt(2^62) = 2^31 would take gigabytes; above the
+    # sieve limit the scanner must test each candidate instead
+    real = congruences._small_primes_upto
+
+    def bounded(n):
+        assert n <= 2**20, f"base sieve up to {n}"
+        return real(n)
+
+    monkeypatch.setattr(congruences, "_small_primes_upto", bounded)
+    report = wieferich_scan(lo, lo + width)
+    assert report.primes_tested == sum(
+        1 for n in range(lo, lo + width + 1) if sympy.isprime(n)
+    )
 
 
 def test_scan_rejects_bad_range():
