@@ -35,7 +35,8 @@ __all__ = [
     "primes_in_range",
 ]
 
-# Witnesses proving Miller-Rabin deterministic for n < 3.317e24 (> 2^64).
+# Witnesses proving Miller-Rabin deterministic for n < 3.317e24 (> 2^64);
+# Sorenson and Webster, arXiv:1509.00864.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Above this bound primes_in_range switches from segmented sieving to
@@ -46,8 +47,12 @@ _SCAN_BLOCK = 1 << 20
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; proven correct for all n < 2^64
-    (in fact below 3.3e24) by the fixed witness set."""
+    """Miller-Rabin with the 12 prime bases 2..37.
+
+    Proven correct only for n < 3.317e24 (Sorenson-Webster, arXiv:1509.00864),
+    which covers every n < 2^64.  Above that bound a True answer means
+    probable prime: no composite passing all 12 bases is known, but none
+    is ruled out."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -102,7 +107,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], ascending.
 
     Segmented sieve up to hi = 2^40; above that each candidate gets the
-    deterministic Miller-Rabin test (valid below 2^64), which suits narrow
+    Miller-Rabin test of is_prime (proven below 3.317e24), which suits narrow
     windows of large isolated candidates.
     """
     if hi < 2 or lo > hi:
@@ -186,10 +191,15 @@ class FermatWitness:
         return {k: str(v) for k, v in asdict(self).items()}
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-running process cannot grow it without limit.  A sweep
+# of fermat_check over a = 1..50 at one p reuses only that p's 49 witnesses.
+@lru_cache(maxsize=1024)
 def _witness(d: int, p: int) -> FermatWitness:
     f = make_series([1, -1, -d] + [0] * (2 * p - 2))
     m = expand_to_product(f).exponents
+    # n must come from the coefficients of 1/f.  Taking it by negating m's
+    # ghost would make n a function of m by construction, and the index-2p
+    # identity below would then hold whatever the expansion computed.
     n = expand_to_product(reciprocal(f)).exponents
     m_p, m_2p = m[p - 1], m[2 * p - 1]
     n_p, n_2p = n[p - 1], n[2 * p - 1]

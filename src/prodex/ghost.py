@@ -6,18 +6,17 @@ factor by factor gives
 
     L_N = sum over divisors s of N of  m_{N/s}^s * (N/s),
 
-so the transform can be computed by direct divisor enumeration, with no
-series division at all.  That independence from the series route is what
-makes it useful as a cross-check.
+which is the ghost map of big Witt vectors.  Both directions run on one
+kernel, _divisor_sums, with no divisor enumeration or table.  The product
+layer expands series and inverts sequences through this transform.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from typing import Iterator, Sequence
 
 from .errors import NotRealizableError, OrderMismatchError
-from .products import ProductExpansion
-from .series import GhostSequence
+from .series import GhostSequence, ProductExpansion
 
 __all__ = [
     "GhostSequence",
@@ -27,30 +26,41 @@ __all__ = [
 ]
 
 
-def _divisors(n: int) -> list[int]:
-    """Divisors of n by trial division up to sqrt(n), ascending."""
-    small = []
-    large = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    large.reverse()
-    return small + large
+def _divisor_sums(exps: Sequence[int], order: int) -> Iterator[int]:
+    """Yield sum_{s|N, s>1} (N/s) * m_{N/s}^s for N = 1..order, where
+    exps[q-1] holds m_q.
+
+    N runs in blocks [lo, 2 lo).  Every proper divisor of an N in a block
+    is below lo, so a block reads only m_1..m_{lo-1}, and a caller solving
+    for the exponents may append m_N to exps after taking N's sum.  Each
+    block pushes q * m_q^s to the multiples q*s it holds, the power built
+    one multiplication per step.  Work and memory end with the block that
+    holds the index where the caller stops, below twice that index, so an
+    unrealizable ghost that fails early never pays for powers far past it.
+    """
+    lo = 1
+    while lo <= order:
+        hi = min(2 * lo, order + 1)
+        sums = [0] * (hi - lo)
+        for q in range(1, (hi - 1) // 2 + 1):
+            mq = exps[q - 1]
+            if mq:
+                s = max(2, -(-lo // q))  # first multiple q*s in the block
+                term = q * mq ** (s - 1)
+                for j in range(q * s - lo, hi - lo, q):
+                    term *= mq
+                    sums[j] += term
+        yield from sums
+        lo = hi
 
 
 def ghost_from_exponents(m: ProductExpansion) -> GhostSequence:
     """L_N = sum_{s|N} m_{N/s}^s * (N/s) for N = 1..order."""
     exps = m.exponents
-    values = []
-    for n in range(1, m.order + 1):
-        acc = 0
-        for s in _divisors(n):
-            q = n // s
-            acc += exps[q - 1] ** s * q
-        values.append(acc)
-    return GhostSequence(tuple(values))
+    return GhostSequence(tuple(
+        partial + n * exps[n - 1]
+        for n, partial in enumerate(_divisor_sums(exps, m.order), start=1)
+    ))
 
 
 def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
@@ -62,22 +72,15 @@ def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
 
     The division must be exact; a nonzero remainder means no integer
     exponent sequence has this ghost, and NotRealizableError reports the
-    failing index and remainder.  The loop is inherently sequential: m_N
-    depends on the exponents at every proper divisor of N.
+    failing index and remainder.
     """
-    values = ghost.values
     exps: list[int] = []
-    for n in range(1, ghost.order + 1):
-        acc = 0
-        for s in _divisors(n):
-            if s == 1:
-                continue
-            q = n // s
-            acc += exps[q - 1] ** s * q
-        quotient, remainder = divmod(values[n - 1] - acc, n)
+    sums = _divisor_sums(exps, ghost.order)
+    for n, (value, partial) in enumerate(zip(ghost.values, sums), start=1):
+        mn, remainder = divmod(value - partial, n)
         if remainder:
             raise NotRealizableError(n, remainder)
-        exps.append(quotient)
+        exps.append(mn)
     return ProductExpansion(tuple(exps))
 
 

@@ -1,17 +1,18 @@
 """Unique expansion of a unit integer series into prod_k (1 - m_k x^k).
 
-The expansion is inductive: once m_1..m_{k-1} are fixed, the partial
-product already matches f through x^(k-1), and exactly one integer choice
-of m_k extends the match through x^k.  Both directions (series -> exponents
-and exponents -> series) are O(N^2) coefficient operations.
+Expansion goes through the ghost sequence, the coefficients of
+-x (ln f)': the logarithmic derivative turns the product into the sum of
+its factors' ghosts, so f's exponents are the inverse divisor-sum
+transform of f's log-derivative.  The exponents of 1/f come from the
+negated ghost, so 1/f is never formed as a series.  Multiplying a product
+back out (exponents -> series) is a direct O(N^2) loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NonUnitConstantError
-from .series import TruncatedSeries, _Record, reciprocal
+from .ghost import exponents_from_ghost, ghost_from_exponents
+from .series import ProductExpansion, TruncatedSeries, neg_x_log_derivative
 
 __all__ = [
     "ProductExpansion",
@@ -22,43 +23,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProductExpansion(_Record):
-    """Exponent sequence m_1..m_N with semantics
-    f == prod_{k=1}^{N} (1 - m_k x^k)  mod x^(N+1).
-
-    Indexing is 1-based everywhere a human sees it (docs, JSON, CLI output);
-    internally exponents[k-1] holds m_k.
-    """
-
-    FIELD = "exponents"
-    START = 1
-    exponents: tuple[int, ...]
-
-
 def expand_to_product(f: TruncatedSeries) -> ProductExpansion:
     """Expand a unit series (c_0 = 1) into its product exponents.
 
-    At step k the partial product carries some integer C at x^k while f
-    carries c_k; multiplying in (1 - m_k x^k) changes the x^k coefficient
-    by -m_k, so m_k = C - c_k is forced.  The partial product is updated
-    in place: P <- P - m_k x^k P, truncated.
+    The exponents exist and are unique integers; they are read off f's
+    ghost sequence by solving the divisor-sum relation index by index.
     """
     c = f.coeffs
     if c[0] != 1:
         raise NonUnitConstantError(f"constant term must be 1, got {c[0]}")
     if f.order < 1:
         raise ValueError("need order >= 1 to expand")
-    n = f.order
-    partial = [1] + [0] * n
-    exponents = []
-    for k in range(1, n + 1):
-        mk = partial[k] - c[k]
-        exponents.append(mk)
-        if mk:
-            for j in range(n, k - 1, -1):
-                partial[j] -= mk * partial[j - k]
-    return ProductExpansion(tuple(exponents))
+    return exponents_from_ghost(neg_x_log_derivative(f))
 
 
 def product_to_series(m: ProductExpansion) -> TruncatedSeries:
@@ -75,10 +51,11 @@ def product_to_series(m: ProductExpansion) -> TruncatedSeries:
 def inverse_sequence(m: ProductExpansion) -> ProductExpansion:
     """The exponent sequence n of 1/f, where f is m's product.
 
-    The two products multiply to 1 mod x^(N+1), and applying this twice
-    returns the original sequence: sequences pair up.
+    The ghost of 1/f is the negation of f's, since -x (ln 1/f)' =
+    x (ln f)'.  The two products multiply to 1 mod x^(N+1), and applying
+    this twice returns the original sequence: sequences pair up.
     """
-    return expand_to_product(reciprocal(product_to_series(m)))
+    return exponents_from_ghost(ghost_from_exponents(m).negated())
 
 
 def tilde_transform(m: ProductExpansion) -> ProductExpansion:

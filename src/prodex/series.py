@@ -103,6 +103,20 @@ class GhostSequence(_Record):
         return GhostSequence(tuple(-v for v in self.values))
 
 
+@dataclass(frozen=True)
+class ProductExpansion(_Record):
+    """Exponent sequence m_1..m_N with semantics
+    f == prod_{k=1}^{N} (1 - m_k x^k)  mod x^(N+1).
+
+    Indexing is 1-based everywhere a human sees it (docs, JSON, CLI output);
+    internally exponents[k-1] holds m_k.
+    """
+
+    FIELD = "exponents"
+    START = 1
+    exponents: tuple[int, ...]
+
+
 def _parse_int(value) -> int:
     """The one integer parser for outside input: a non-bool int, or an
     ASCII decimal string -?[0-9]+.  int() alone would also take floats,
@@ -185,17 +199,26 @@ def derivative(f: TruncatedSeries) -> TruncatedSeries:
 def neg_x_log_derivative(f: TruncatedSeries) -> GhostSequence:
     """L_1..L_N with sum L_N x^N = -x f'(x)/f(x) mod x^(N+1).
 
-    Computed as (-x f') * reciprocal(f).  The x-shift puts the derivative's
-    zeroed top coefficient above the truncation order, so every L_N is
-    exact, including the top one.
+    Newton's identity: the x^n coefficients of L * f = -x f' give, since
+    c_0 = 1,
+
+        L_n = -n c_n - sum_{0<i<n} c_i L_{n-i}.
+
+    The sum runs over the nonzero c_i only, so a series with k nonzero
+    terms costs O(N k) coefficient operations and no series division.
     """
-    if f.coeffs[0] != 1:
-        raise NonUnitConstantError(
-            f"constant term must be 1, got {f.coeffs[0]}"
-        )
+    c = f.coeffs
+    if c[0] != 1:
+        raise NonUnitConstantError(f"constant term must be 1, got {c[0]}")
     if f.order < 1:
         raise ValueError("need order >= 1 to produce a ghost sequence")
-    d = derivative(f)
-    neg_x_d = TruncatedSeries((0,) + tuple(-c for c in d.coeffs[:-1]))
-    prod = mul(neg_x_d, reciprocal(f))
-    return GhostSequence(prod.coeffs[1:])
+    ghost = [0]
+    terms: list[tuple[int, int]] = []  # (i, c_i) for the nonzero c_i, 0 < i < n
+    for n in range(1, f.order + 1):
+        acc = n * c[n]
+        for i, ci in terms:
+            acc += ci * ghost[n - i]
+        ghost.append(-acc)
+        if c[n]:
+            terms.append((n, c[n]))
+    return GhostSequence(tuple(ghost[1:]))

@@ -1,0 +1,98 @@
+"""Slow, independent routes kept as test oracles.
+
+The package computes expansions, log-derivatives and inverse sequences
+through the ghost transform.  These are the routes it used before: each
+reaches the same answer a different way, so a fast route that drifts
+from its oracle fails a test instead of silently changing an answer.
+None of them calls the ghost layer.
+"""
+
+from math import isqrt
+
+from prodex import (
+    GhostSequence,
+    NonUnitConstantError,
+    NotRealizableError,
+    ProductExpansion,
+    TruncatedSeries,
+    derivative,
+    mul,
+    product_to_series,
+    reciprocal,
+)
+
+
+def expand_by_partial_products(f: TruncatedSeries) -> ProductExpansion:
+    """Inductive expansion: once m_1..m_{k-1} are fixed, the partial
+    product matches f through x^(k-1) and carries some C at x^k, and
+    multiplying in (1 - m_k x^k) changes that coefficient by -m_k, so
+    m_k = C - c_k is forced.  The partial product is updated in place."""
+    c = f.coeffs
+    if c[0] != 1:
+        raise NonUnitConstantError(f"constant term must be 1, got {c[0]}")
+    if f.order < 1:
+        raise ValueError("need order >= 1 to expand")
+    n = f.order
+    partial = [1] + [0] * n
+    exponents = []
+    for k in range(1, n + 1):
+        mk = partial[k] - c[k]
+        exponents.append(mk)
+        if mk:
+            for j in range(n, k - 1, -1):
+                partial[j] -= mk * partial[j - k]
+    return ProductExpansion(tuple(exponents))
+
+
+def log_derivative_by_division(f: TruncatedSeries) -> GhostSequence:
+    """-x f'/f as (-x f') * reciprocal(f).  The x-shift puts the
+    derivative's zeroed top coefficient above the truncation order, so
+    every L_N is exact, including the top one."""
+    if f.coeffs[0] != 1:
+        raise NonUnitConstantError(f"constant term must be 1, got {f.coeffs[0]}")
+    if f.order < 1:
+        raise ValueError("need order >= 1 to produce a ghost sequence")
+    d = derivative(f)
+    neg_x_d = TruncatedSeries((0,) + tuple(-c for c in d.coeffs[:-1]))
+    return GhostSequence(mul(neg_x_d, reciprocal(f)).coeffs[1:])
+
+
+def divisors(n: int) -> list[int]:
+    """Divisors of n by trial division up to sqrt(n), ascending."""
+    small = []
+    large = []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    large.reverse()
+    return small + large
+
+
+def ghost_by_trial_division(m: ProductExpansion) -> GhostSequence:
+    """L_N = sum_{s|N} m_{N/s}^s * (N/s), each N's divisors enumerated."""
+    exps = m.exponents
+    values = []
+    for n in range(1, m.order + 1):
+        values.append(sum(exps[n // s - 1] ** s * (n // s) for s in divisors(n)))
+    return GhostSequence(tuple(values))
+
+
+def exponents_by_trial_division(ghost: GhostSequence) -> ProductExpansion:
+    """m_N = (L_N - sum_{s|N, s>1} m_{N/s}^s * (N/s)) / N, raising
+    NotRealizableError at the first inexact division."""
+    exps: list[int] = []
+    for n, value in enumerate(ghost.values, start=1):
+        acc = sum(exps[n // s - 1] ** s * (n // s) for s in divisors(n) if s > 1)
+        quotient, remainder = divmod(value - acc, n)
+        if remainder:
+            raise NotRealizableError(n, remainder)
+        exps.append(quotient)
+    return ProductExpansion(tuple(exps))
+
+
+def inverse_by_series_division(m: ProductExpansion) -> ProductExpansion:
+    """Exponents of 1/f: multiply m's product out, take the reciprocal
+    series and expand that by partial products."""
+    return expand_by_partial_products(reciprocal(product_to_series(m)))

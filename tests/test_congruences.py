@@ -22,6 +22,8 @@ from prodex import (
     wieferich_scan,
 )
 
+from oracles import expand_by_partial_products
+
 
 # --- rational family ---------------------------------------------------------
 
@@ -102,6 +104,18 @@ def test_witness_identity_is_tail_independent():
     rhs = -2 * p * n_2p - p * n_p**2 + 2 * (d + 1) ** p - 1
     assert lhs == rhs
     assert m_2p + n_2p + m_p**2 == fermat_witness(d, p).quotient
+
+
+@pytest.mark.parametrize("d, p", [(1, 3), (1, 101), (2, 31), (5, 53)])
+def test_witness_matches_oracle_expansion(d, p):
+    # the witness's m and n must agree with the partial-product expansion
+    # of f = 1 - x - d x^2 and of its reciprocal series
+    f = make_series([1, -1, -d] + [0] * (2 * p - 2))
+    m = expand_by_partial_products(f).exponents
+    n = expand_by_partial_products(reciprocal(f)).exponents
+    w = fermat_witness(d, p)
+    assert (w.m_p, w.m_2p) == (m[p - 1], m[2 * p - 1])
+    assert (w.n_p, w.n_2p) == (n[p - 1], n[2 * p - 1])
 
 
 def test_witness_rejects_even_prime():

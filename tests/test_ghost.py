@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -13,20 +15,13 @@ from prodex import (
     product_to_series,
     verify_reciprocal_identity,
 )
-from prodex.ghost import _divisors
 
 from conftest import expansions
+from oracles import inverse_by_series_division
 
 
 def ones(order):
     return ProductExpansion((1,) * order)
-
-
-def test_divisor_enumeration():
-    assert _divisors(1) == [1]
-    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert _divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-    assert _divisors(97) == [1, 97]
 
 
 # --- ghost_from_exponents ---------------------------------------------------
@@ -72,6 +67,21 @@ def test_unghost_parity_obstruction():
     assert "N=2" in str(info.value)
 
 
+def test_unghost_early_failure_stays_small():
+    # m_1 = 10^6 and the ghost fails at N=2; pushing 10^(6s) to every s up
+    # to the order before getting there would hold about 31 MB of powers
+    ghost = GhostSequence((10**6, 1) + (0,) * 4998)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotRealizableError) as info:
+            exponents_from_ghost(ghost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.index, info.value.remainder) == (2, 1)
+    assert peak < 2**20
+
+
 # --- the reciprocal-pair identity -------------------------------------------
 
 
@@ -115,7 +125,8 @@ def test_reciprocal_identity_for_inverse_pairs(m):
 
 def test_dual_route_to_inverse_of_ones():
     # solving the divisor-sum relation on the negated ghost reproduces the
-    # inverse sequence computed through series division
+    # inverse sequence computed through series division; inverse_sequence
+    # itself solves on the negated ghost, so the oracle is the second route
     m = ones(32)
     via_recurrence = exponents_from_ghost(ghost_from_exponents(m).negated())
-    assert via_recurrence == inverse_sequence(m)
+    assert via_recurrence == inverse_sequence(m) == inverse_by_series_division(m)

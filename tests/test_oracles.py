@@ -1,0 +1,152 @@
+"""Each fast route against the slow, independent route it replaced."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import prodex
+from prodex import (
+    GhostSequence,
+    NotRealizableError,
+    ProductExpansion,
+    expand_to_product,
+    exponents_from_ghost,
+    ghost_from_exponents,
+    inverse_sequence,
+    make_series,
+    neg_x_log_derivative,
+    rational_family_series,
+    series,
+)
+
+from conftest import expansions, unit_series
+from oracles import (
+    divisors,
+    expand_by_partial_products,
+    exponents_by_trial_division,
+    ghost_by_trial_division,
+    inverse_by_series_division,
+    log_derivative_by_division,
+)
+
+wide_ints = st.integers(min_value=-(10**6), max_value=10**6)
+
+
+def wide_unit_series(max_order=40):
+    """Unit series with coefficients up to 10^6 in absolute value."""
+    return st.lists(wide_ints, min_size=1, max_size=max_order).map(
+        lambda tail: make_series([1] + tail)
+    )
+
+
+@st.composite
+def sparse_unit_series(draw, max_order=300):
+    """Unit series of high order with at most four nonzero coefficients."""
+    order = draw(st.integers(min_value=1, max_value=max_order))
+    terms = draw(st.dictionaries(st.integers(1, order), wide_ints, max_size=4))
+    return make_series([1] + [terms.get(k, 0) for k in range(1, order + 1)])
+
+
+def wide_expansions(max_order=40):
+    return st.lists(wide_ints, min_size=1, max_size=max_order).map(
+        lambda exps: ProductExpansion(tuple(exps))
+    )
+
+
+@st.composite
+def perturbed_ghosts(draw):
+    """A realizable ghost with one entry moved, so most are not realizable
+    and the first failure can lie at any index."""
+    values = list(ghost_from_exponents(draw(expansions())).values)
+    k = draw(st.integers(min_value=0, max_value=len(values) - 1))
+    values[k] += draw(wide_ints)
+    return GhostSequence(tuple(values))
+
+
+any_series = st.one_of(unit_series(), wide_unit_series(), sparse_unit_series())
+any_expansions = st.one_of(expansions(), wide_expansions())
+any_ghosts = st.one_of(
+    perturbed_ghosts(),
+    st.lists(wide_ints, min_size=1, max_size=64).map(lambda v: GhostSequence(tuple(v))),
+)
+
+
+def unghost_outcome(unghost, ghost):
+    """The exponents, or the index and remainder of the failure."""
+    try:
+        return unghost(ghost)
+    except NotRealizableError as exc:
+        return ("not realizable", exc.index, exc.remainder)
+
+
+def test_divisor_enumeration():
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    assert divisors(97) == [1, 97]
+
+
+@given(any_series)
+def test_expansion_matches_partial_products(f):
+    assert expand_to_product(f) == expand_by_partial_products(f)
+
+
+@given(any_series)
+def test_log_derivative_matches_series_division(f):
+    assert neg_x_log_derivative(f) == log_derivative_by_division(f)
+
+
+@given(any_expansions)
+def test_ghost_matches_trial_division(m):
+    assert ghost_from_exponents(m) == ghost_by_trial_division(m)
+
+
+@given(any_expansions)
+def test_unghost_matches_trial_division(m):
+    ghost = ghost_by_trial_division(m)
+    assert exponents_from_ghost(ghost) == exponents_by_trial_division(ghost) == m
+
+
+@given(any_ghosts)
+def test_unrealizable_ghost_fails_where_oracle_fails(ghost):
+    assert unghost_outcome(exponents_from_ghost, ghost) == unghost_outcome(
+        exponents_by_trial_division, ghost
+    )
+
+
+@given(any_expansions)
+def test_inverse_matches_series_division(m):
+    assert inverse_sequence(m) == inverse_by_series_division(m)
+
+
+def test_family_expansion_matches_partial_products():
+    f = rational_family_series(3, 200)
+    assert expand_to_product(f) == expand_by_partial_products(f)
+
+
+def test_fast_routes_use_no_series_division(monkeypatch):
+    # the product layer must not fall back on mul, derivative or reciprocal;
+    # every binding of them in the package is replaced by one that raises
+    f = make_series([1, -3, 7, 0, -1, 0, 0, 12] + [0] * 56)
+    m = ProductExpansion(tuple((k * 7) % 11 - 5 for k in range(64)))
+    expected = (
+        expand_by_partial_products(f),
+        log_derivative_by_division(f),
+        inverse_by_series_division(m),
+    )
+    slow = {series.mul, series.derivative, series.reciprocal}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series division on a fast route")
+
+    for module in (prodex, series, prodex.products, prodex.ghost):
+        for name, value in list(vars(module).items()):
+            if callable(value) and value in slow:
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError):
+        series.mul(f, f)
+    assert (
+        expand_to_product(f),
+        neg_x_log_derivative(f),
+        inverse_sequence(m),
+    ) == expected
