@@ -1,8 +1,10 @@
 """The `prodex` command line tool.
 
 Every subcommand is a thin wrapper over one library operation, with exact
-text or JSON output.  Big integers in JSON are always decimal strings;
-plain output is one index-prefixed value per line, stable for diffing.
+text or JSON output.  Big integers in JSON are decimal strings, except in
+`wieferich` output: its lo, hi, primes_tested and hits are JSON numbers,
+and windows reach 2^62, past the 2^53 that a double holds exactly.  Plain
+output is one index-prefixed value per line, stable for diffing.
 
 Exit codes: 0 success, 1 usage or parse error, 2 mathematical failure
 (non-realizable ghost, non-unit constant term, non-prime argument,
@@ -15,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .congruences import (
     fermat_check,
@@ -57,13 +59,6 @@ _MATH_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    default_order: int = BUILTIN_DEFAULT_ORDER
-    output_format: str = "plain"
-    thread_count: int = 1
-
-
 class _UsageError(Exception):
     pass
 
@@ -102,15 +97,15 @@ def _load_input_file(path: str) -> dict:
     return data
 
 
-def _effective_order(args, cfg: CliConfig, intrinsic: int | None) -> int:
+def _effective_order(args, intrinsic: int | None) -> int:
     if getattr(args, "order", None) is not None:
         return args.order
     if intrinsic is not None:
         return intrinsic
-    return cfg.default_order
+    return args.default_order
 
 
-def _read_record(args, cfg: CliConfig, kind: type[_Record]) -> _Record:
+def _read_record(args, kind: type[_Record]) -> _Record:
     """The input record from --<FIELD>, --input or --ones, zero-padded or
     truncated to the effective order."""
     inline = getattr(args, kind.FIELD)
@@ -122,7 +117,7 @@ def _read_record(args, cfg: CliConfig, kind: type[_Record]) -> _Record:
     if not given:
         raise _UsageError(f"{kind.FIELD} required: one of " + ", ".join(flags))
     if ones:
-        values = [1] * _effective_order(args, cfg, intrinsic=None)
+        values = [1] * _effective_order(args, intrinsic=None)
     elif inline is not None:
         values = _parse_int_list(inline, kind.FIELD)
     else:
@@ -132,7 +127,7 @@ def _read_record(args, cfg: CliConfig, kind: type[_Record]) -> _Record:
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"{args.input}: bad {kind.FIELD} record: {exc}") from None
     intrinsic = len(values) + kind.START - 1
-    length = _effective_order(args, cfg, intrinsic) + 1 - kind.START
+    length = _effective_order(args, intrinsic) + 1 - kind.START
     return kind(tuple(values[:length] + [0] * (length - len(values))))
 
 
@@ -149,51 +144,49 @@ def _emit(record, fmt: str, plain: str | None = None) -> None:
 # subcommands
 
 
-def _cmd_sequence(args, cfg: CliConfig) -> int:
-    result = args.operation(_read_record(args, cfg, args.kind))
+def _cmd_sequence(args) -> int:
+    result = args.operation(_read_record(args, args.kind))
     if getattr(args, "tilde", False):
         result = tilde_transform(result)
-    _emit(result, cfg.output_format)
+    _emit(result, args.format)
     return EXIT_OK
 
 
-def _cmd_family(args, cfg: CliConfig) -> int:
-    order = _effective_order(args, cfg, intrinsic=None)
+def _cmd_family(args) -> int:
+    order = _effective_order(args, intrinsic=None)
     family = rational_family_series(args.d, order)
-    _emit(expand_to_product(family) if args.expand else family, cfg.output_format)
+    _emit(expand_to_product(family) if args.expand else family, args.format)
     return EXIT_OK
 
 
-def _cmd_fermat(args, cfg: CliConfig) -> int:
+def _cmd_fermat(args) -> int:
     witness = fermat_witness(args.d, args.p)
     lines = [f"{k} {v}" for k, v in asdict(witness).items()] + ["identity OK"]
-    _emit(witness, cfg.output_format, "\n".join(lines))
+    _emit(witness, args.format, "\n".join(lines))
     return EXIT_OK
 
 
-def _cmd_check(args, cfg: CliConfig) -> int:
+def _cmd_check(args) -> int:
     ok = fermat_check(args.a, args.p)
-    _emit({"a": str(args.a), "p": str(args.p), "ok": ok}, cfg.output_format,
+    _emit({"a": str(args.a), "p": str(args.p), "ok": ok}, args.format,
           f"a {args.a}\np {args.p}\nok {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_MATH
 
 
-def _cmd_wieferich(args, cfg: CliConfig) -> int:
-    if args.lo > args.hi or args.lo < 2:
-        raise _UsageError(f"invalid range [{args.lo}, {args.hi}]")
-    report = wieferich_scan(args.lo, args.hi, threads=cfg.thread_count)
+def _cmd_wieferich(args) -> int:
+    report = wieferich_scan(args.lo, args.hi, threads=args.threads)
     lines = [f"lo {report.lo}", f"hi {report.hi}",
              f"primes_tested {report.primes_tested}"]
-    _emit(report, cfg.output_format,
+    _emit(report, args.format,
           "\n".join(lines + [f"hit {p}" for p in report.hits]))
     return EXIT_OK
 
 
-def _cmd_partitions(args, cfg: CliConfig) -> int:
-    order = _effective_order(args, cfg, intrinsic=None)
+def _cmd_partitions(args) -> int:
+    order = _effective_order(args, intrinsic=None)
     table = partition_numbers(order)
     if not args.via_product:
-        _emit(table, cfg.output_format)
+        _emit(table, args.format)
         return EXIT_OK
 
     # reconstruction through the product machinery: the inverse sequence of
@@ -203,7 +196,7 @@ def _cmd_partitions(args, cfg: CliConfig) -> int:
     ones = ProductExpansion((1,) * order)
     via = product_to_series(inverse_sequence(ones))
     equal = via.coeffs == table.values
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit({**table.to_json_dict(), "via_product": [str(c) for c in via.coeffs],
                "equal": equal}, "json")
     else:
@@ -231,6 +224,18 @@ def _int_flag(minimum: int | None = None):
     return parse
 
 
+def _threads_flag(text: str) -> int:
+    """argparse type for --threads: 'auto' (one worker per CPU) or an
+    integer >= 1."""
+    if text == "auto":
+        return os.cpu_count() or 1
+    try:
+        return _int_flag(1)(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1 or 'auto', got {text!r}") from None
+
+
 _INLINE_HELP = {"coeffs": "c_0,c_1,...", "exponents": "m_1,m_2,...",
                 "values": "L_1,L_2,..."}
 
@@ -239,7 +244,7 @@ def _build_parser() -> _Parser:
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--format", choices=("plain", "json"), default="plain",
                       help="output format (default plain)")
-    base.add_argument("--threads", default="1",
+    base.add_argument("--threads", type=_threads_flag, default=1,
                       help="worker count for the scanner: a number or 'auto'")
 
     common = argparse.ArgumentParser(add_help=False, parents=[base])
@@ -331,25 +336,6 @@ def _default_order_from_env() -> int:
     return value
 
 
-def _config_from_args(args) -> CliConfig:
-    if args.threads == "auto":
-        threads = os.cpu_count() or 1
-    else:
-        try:
-            threads = _parse_int(args.threads)
-        except ValueError:
-            raise _UsageError(
-                f"--threads must be a number or 'auto', got {args.threads!r}"
-            ) from None
-        if threads < 1:
-            raise _UsageError(f"--threads must be >= 1, got {threads}")
-    return CliConfig(
-        default_order=_default_order_from_env(),
-        output_format=args.format,
-        thread_count=threads,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     # exact answers of any size must print and parse; 3.10 before 3.10.7
     # has neither the limit nor this switch
@@ -357,7 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args, _config_from_args(args))
+        args.default_order = _default_order_from_env()
+        return args.handler(args)
     except _UsageError as exc:
         print(f"prodex: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,6 @@ an independent partition-number oracle for the all-ones product example.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import isqrt
@@ -269,12 +268,7 @@ class WieferichScanReport:
     hits: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "primes_tested": self.primes_tested,
-            "hits": list(self.hits),
-        }
+        return asdict(self)
 
 
 def is_wieferich(p: int) -> bool:
@@ -310,6 +304,9 @@ def wieferich_scan(lo: int, hi: int, threads: int = 1) -> WieferichScanReport:
         for block_lo in range(lo, hi + 1, _SCAN_BLOCK)
     ]
     if threads > 1 and len(blocks) > 1:
+        # imported here: loading concurrent.futures costs every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
             results = list(pool.map(_scan_block, blocks))
     else:

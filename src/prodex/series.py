@@ -173,17 +173,7 @@ def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
     c0 = c[0]
     if c0 not in (1, -1):
         raise NonUnitConstantError(f"constant term must be +1 or -1, got {c0}")
-    n = f.order
-    inv = [0] * (n + 1)
-    inv[0] = c0
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            ci = c[i]
-            if ci:
-                acc += ci * inv[k - i]
-        inv[k] = -c0 * acc
-    return TruncatedSeries(tuple(inv))
+    return TruncatedSeries(tuple(_divide(c, [1] + [0] * f.order)))
 
 
 def derivative(f: TruncatedSeries) -> TruncatedSeries:
@@ -199,26 +189,35 @@ def derivative(f: TruncatedSeries) -> TruncatedSeries:
 def neg_x_log_derivative(f: TruncatedSeries) -> GhostSequence:
     """L_1..L_N with sum L_N x^N = -x f'(x)/f(x) mod x^(N+1).
 
-    Newton's identity: the x^n coefficients of L * f = -x f' give, since
-    c_0 = 1,
-
-        L_n = -n c_n - sum_{0<i<n} c_i L_{n-i}.
-
-    The sum runs over the nonzero c_i only, so a series with k nonzero
-    terms costs O(N k) coefficient operations and no series division.
+    Newton's identity: L * f = -x f' is solved by the same division as
+    1/f, with right-hand side -n c_n, so a series with k nonzero terms
+    costs O(N k) coefficient operations.
     """
     c = f.coeffs
     if c[0] != 1:
         raise NonUnitConstantError(f"constant term must be 1, got {c[0]}")
     if f.order < 1:
         raise ValueError("need order >= 1 to produce a ghost sequence")
-    ghost = [0]
-    terms: list[tuple[int, int]] = []  # (i, c_i) for the nonzero c_i, 0 < i < n
-    for n in range(1, f.order + 1):
-        acc = n * c[n]
-        for i, ci in terms:
-            acc += ci * ghost[n - i]
-        ghost.append(-acc)
-        if c[n]:
+    return GhostSequence(tuple(_divide(c, [-n * cn for n, cn in enumerate(c)])[1:]))
+
+
+def _divide(c: tuple[int, ...], rhs: list[int]) -> list[int]:
+    """y_0..y_N with f * y = rhs mod x^(N+1), where f has coefficients c
+    and c_0 = +1 or -1.  Comparing x^n coefficients gives
+
+        y_n = c_0 (rhs_n - sum_{0<i<=n} c_i y_{n-i}),
+
+    summed over the nonzero c_i only (the classical power-series route;
+    Brent and Kung, "Fast algorithms for manipulating formal power
+    series", 1978).  The i = n term matters when y_0 != 0, as for 1/f.
+    """
+    c0 = c[0]
+    y: list[int] = []
+    terms: list[tuple[int, int]] = []  # (i, c_i) for the nonzero c_i, 0 < i <= n
+    for n, acc in enumerate(rhs):
+        if n and c[n]:
             terms.append((n, c[n]))
-    return GhostSequence(tuple(ghost[1:]))
+        for i, ci in terms:
+            acc -= ci * y[n - i]
+        y.append(acc if c0 == 1 else -acc)
+    return y

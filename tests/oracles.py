@@ -1,10 +1,11 @@
 """Slow, independent routes kept as test oracles.
 
 The package computes expansions, log-derivatives and inverse sequences
-through the ghost transform.  These are the routes it used before: each
+through the ghost transform, and reciprocals and log-derivatives through
+one sparse division loop.  These are the routes it used before: each
 reaches the same answer a different way, so a fast route that drifts
 from its oracle fails a test instead of silently changing an answer.
-None of them calls the ghost layer.
+None of them calls the ghost layer or the package's reciprocal.
 """
 
 from math import isqrt
@@ -18,7 +19,6 @@ from prodex import (
     derivative,
     mul,
     product_to_series,
-    reciprocal,
 )
 
 
@@ -44,8 +44,28 @@ def expand_by_partial_products(f: TruncatedSeries) -> ProductExpansion:
     return ProductExpansion(tuple(exponents))
 
 
+def reciprocal_by_recurrence(f: TruncatedSeries) -> TruncatedSeries:
+    """1/f mod x^(N+1) for c_0 = +1 or -1, each coefficient summed over
+    every c_i, zero or not: inv_k = -c_0 sum_{0<i<=k} c_i inv_{k-i}."""
+    c = f.coeffs
+    c0 = c[0]
+    if c0 not in (1, -1):
+        raise NonUnitConstantError(f"constant term must be +1 or -1, got {c0}")
+    n = f.order
+    inv = [0] * (n + 1)
+    inv[0] = c0
+    for k in range(1, n + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            ci = c[i]
+            if ci:
+                acc += ci * inv[k - i]
+        inv[k] = -c0 * acc
+    return TruncatedSeries(tuple(inv))
+
+
 def log_derivative_by_division(f: TruncatedSeries) -> GhostSequence:
-    """-x f'/f as (-x f') * reciprocal(f).  The x-shift puts the
+    """-x f'/f as (-x f') * (1/f).  The x-shift puts the
     derivative's zeroed top coefficient above the truncation order, so
     every L_N is exact, including the top one."""
     if f.coeffs[0] != 1:
@@ -54,7 +74,7 @@ def log_derivative_by_division(f: TruncatedSeries) -> GhostSequence:
         raise ValueError("need order >= 1 to produce a ghost sequence")
     d = derivative(f)
     neg_x_d = TruncatedSeries((0,) + tuple(-c for c in d.coeffs[:-1]))
-    return GhostSequence(mul(neg_x_d, reciprocal(f)).coeffs[1:])
+    return GhostSequence(mul(neg_x_d, reciprocal_by_recurrence(f)).coeffs[1:])
 
 
 def divisors(n: int) -> list[int]:
@@ -95,4 +115,4 @@ def exponents_by_trial_division(ghost: GhostSequence) -> ProductExpansion:
 def inverse_by_series_division(m: ProductExpansion) -> ProductExpansion:
     """Exponents of 1/f: multiply m's product out, take the reciprocal
     series and expand that by partial products."""
-    return expand_by_partial_products(reciprocal(product_to_series(m)))
+    return expand_by_partial_products(reciprocal_by_recurrence(product_to_series(m)))

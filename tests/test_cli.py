@@ -156,7 +156,9 @@ def test_wieferich_output_independent_of_threads(capsys):
                            "--format", "json")
     _, four_threads, _ = run(capsys, "wieferich", "--from", "2", "--to", "2000000",
                              "--format", "json", "--threads", "4")
-    assert one_thread == four_threads
+    _, auto_threads, _ = run(capsys, "wieferich", "--from", "2", "--to", "2000000",
+                             "--format", "json", "--threads", "auto")
+    assert one_thread == four_threads == auto_threads
 
 
 def test_wieferich_rejects_reversed_range(capsys):
@@ -240,7 +242,7 @@ def test_threads_validation(capsys):
     code, _, err = run(capsys, "wieferich", "--from", "2", "--to", "100",
                        "--threads", "zero")
     assert code == 1
-    assert "--threads" in err
+    assert "--threads" in err and "'auto'" in err
 
 
 # --- JSON round trips ----------------------------------------------------------
@@ -308,6 +310,19 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n2 0\n3 0\n4 0\n"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a multi-worker scan needs concurrent.futures; every start-up
+    # would pay for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, prodex.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_help_exits_zero():

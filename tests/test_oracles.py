@@ -16,6 +16,7 @@ from prodex import (
     make_series,
     neg_x_log_derivative,
     rational_family_series,
+    reciprocal,
     series,
 )
 
@@ -27,6 +28,7 @@ from oracles import (
     ghost_by_trial_division,
     inverse_by_series_division,
     log_derivative_by_division,
+    reciprocal_by_recurrence,
 )
 
 wide_ints = st.integers(min_value=-(10**6), max_value=10**6)
@@ -94,6 +96,12 @@ def test_expansion_matches_partial_products(f):
 @given(any_series)
 def test_log_derivative_matches_series_division(f):
     assert neg_x_log_derivative(f) == log_derivative_by_division(f)
+
+
+@given(any_series, st.sampled_from((1, -1)))
+def test_reciprocal_matches_recurrence(f, c0):
+    f = make_series((c0,) + f.coeffs[1:])
+    assert reciprocal(f) == reciprocal_by_recurrence(f)
 
 
 @given(any_expansions)
