@@ -90,7 +90,9 @@ def _load_input_file(path: str) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; deep
+        # nesting exhausts the decoder's recursion
         raise _UsageError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise _UsageError(f"{path}: expected a JSON object")
@@ -98,7 +100,7 @@ def _load_input_file(path: str) -> dict:
 
 
 def _effective_order(args, intrinsic: int | None) -> int:
-    if getattr(args, "order", None) is not None:
+    if args.order is not None:
         return args.order
     if intrinsic is not None:
         return intrinsic
@@ -196,14 +198,11 @@ def _cmd_partitions(args) -> int:
     ones = ProductExpansion((1,) * order)
     via = product_to_series(inverse_sequence(ones))
     equal = via.coeffs == table.values
-    if args.format == "json":
-        _emit({**table.to_json_dict(), "via_product": [str(c) for c in via.coeffs],
-               "equal": equal}, "json")
-    else:
-        for k, (a, b) in enumerate(zip(table.values, via.coeffs)):
-            marker = "" if a == b else "  DIFFERS"
-            print(f"{k} {a} {b}{marker}")
-        print(f"equal {'true' if equal else 'false'}")
+    lines = [f"{k} {a} {b}" + ("" if a == b else "  DIFFERS")
+             for k, (a, b) in enumerate(zip(table.values, via.coeffs))]
+    _emit({**table.to_json_dict(), "via_product": [str(c) for c in via.coeffs],
+           "equal": equal}, args.format,
+          "\n".join(lines + [f"equal {'true' if equal else 'false'}"]))
     return EXIT_OK if equal else EXIT_MATH
 
 
@@ -244,13 +243,11 @@ def _build_parser() -> _Parser:
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--format", choices=("plain", "json"), default="plain",
                       help="output format (default plain)")
-    base.add_argument("--threads", type=_threads_flag, default=1,
-                      help="worker count for the scanner: a number or 'auto'")
 
-    common = argparse.ArgumentParser(add_help=False, parents=[base])
-    common.add_argument("--order", type=_int_flag(1), default=None,
-                        help=f"truncation order (default: input length, "
-                             f"else {ORDER_ENV_VAR} or {BUILTIN_DEFAULT_ORDER})")
+    ordered = argparse.ArgumentParser(add_help=False, parents=[base])
+    ordered.add_argument("--order", type=_int_flag(1), default=None,
+                         help=f"truncation order (default: input length, "
+                              f"else {ORDER_ENV_VAR} or {BUILTIN_DEFAULT_ORDER})")
 
     parser = _Parser(prog="prodex",
                      description="exact product expansions of integer power "
@@ -273,7 +270,7 @@ def _build_parser() -> _Parser:
                     "ghost values -> exponents (exact solve)"),
     }
     for name, (kind, operation, text) in sequence_commands.items():
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = sub.add_parser(name, parents=[ordered], help=text)
         p.add_argument(f"--{kind.FIELD}",
                        help=f"comma-separated {_INLINE_HELP[kind.FIELD]}")
         p.add_argument("--input", help=f"JSON file {{order, {kind.FIELD}}}")
@@ -285,27 +282,29 @@ def _build_parser() -> _Parser:
                            help="negate the result (the 1+e_k x^k convention)")
         p.set_defaults(handler=_cmd_sequence, kind=kind, operation=operation)
 
-    p = sub.add_parser("family", parents=[common],
+    p = sub.add_parser("family", parents=[ordered],
                        help="the rational family (1-(d+1)x)/(1-dx)")
     p.add_argument("--d", type=_int_flag(), required=True)
     p.add_argument("--expand", action="store_true",
                    help="print the product exponents instead of the series")
     p.set_defaults(handler=_cmd_family)
 
-    p = sub.add_parser("fermat", parents=[common],
+    p = sub.add_parser("fermat", parents=[base],
                        help="index-2p identity witness and Fermat quotient")
     p.add_argument("--d", type=_int_flag(1), required=True)
     p.add_argument("--p", type=_int_flag(), required=True, help="an odd prime")
     p.set_defaults(handler=_cmd_fermat)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[base],
                        help="verify p | a^p - a by two routes")
     p.add_argument("--a", type=_int_flag(1), required=True)
     p.add_argument("--p", type=_int_flag(), required=True, help="a prime")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("wieferich", parents=[common],
+    p = sub.add_parser("wieferich", parents=[base],
                        help="scan a prime range for 2^(p-1) = 1 mod p^2")
+    p.add_argument("--threads", type=_threads_flag, default=1,
+                   help="worker count for the scanner: a number or 'auto'")
     p.add_argument("--from", dest="lo", type=_int_flag(), required=True)
     p.add_argument("--to", dest="hi", type=_int_flag(), required=True)
     p.set_defaults(handler=_cmd_wieferich)

@@ -11,8 +11,10 @@ an independent partition-number oracle for the all-ones product example.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import IdentityViolationError, NotPrimeError
@@ -42,6 +44,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # per-candidate Miller-Rabin; isqrt(2^40) = 2^20 keeps base sieves tiny.
 _SIEVE_LIMIT = 2**40
 
+# wieferich_scan sieves, tests and merges its range in blocks this wide
 _SCAN_BLOCK = 1 << 20
 
 
@@ -75,49 +78,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _small_primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-def _sieve_segment(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi] via a segmented sieve; needs isqrt(hi) small."""
-    lo = max(lo, 2)
-    if lo > hi:
-        return []
-    base = _small_primes_upto(isqrt(hi))
-    width = hi - lo + 1
-    flags = bytearray([1]) * width
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start > hi:
-            continue
-        flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-    return [lo + i for i in range(width) if flags[i] and lo + i >= 2]
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], ascending.
 
-    Segmented sieve up to hi = 2^40; above that each candidate gets the
-    Miller-Rabin test of is_prime (proven below 3.317e24), which suits narrow
-    windows of large isolated candidates.
+    Up to hi = 2^40 one segmented sieve over [lo, hi], crossed off by the
+    primes up to isqrt(hi) that this function returns for [2, isqrt(hi)].
+    Its flags take one byte per candidate, which is less than the list it
+    returns below e^36 (an 8-byte slot and an int of at least 28 bytes per
+    prime, at density about 1/ln hi).  Above 2^40 each candidate gets the
+    Miller-Rabin test of is_prime (proven below 3.317e24), which suits
+    narrow windows of large isolated candidates.
     """
-    if hi < 2 or lo > hi:
+    lo = max(lo, 2)
+    if lo > hi:
         return []
-    if hi <= _SIEVE_LIMIT:
-        out = []
-        for block_lo in range(max(lo, 2), hi + 1, _SCAN_BLOCK):
-            block_hi = min(block_lo + _SCAN_BLOCK - 1, hi)
-            out.extend(_sieve_segment(block_lo, block_hi))
-        return out
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+    if hi > _SIEVE_LIMIT:
+        return [n for n in range(lo, hi + 1) if is_prime(n)]
+    flags = bytearray([1]) * (hi - lo + 1)
+    for p in primes_in_range(2, isqrt(hi)):
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        if start <= hi:
+            flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), flags))
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +262,17 @@ def is_wieferich(p: int) -> bool:
 
 
 def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[int]]:
-    lo, hi = bounds
-    tested = 0
-    hits = []
-    for p in primes_in_range(lo, hi):
-        tested += 1
-        if pow(2, p - 1, p * p) == 1:
-            hits.append(p)
-    return tested, hits
+    primes = primes_in_range(*bounds)
+    return len(primes), [p for p in primes if pow(2, p - 1, p * p) == 1]
 
 
 def wieferich_scan(lo: int, hi: int, threads: int = 1) -> WieferichScanReport:
     """Test every prime in [lo, hi] for the Wieferich condition.
 
     The range is cut into fixed blocks processed independently (in a
-    process pool when threads > 1) and merged in block order, so the
-    report is identical for every thread count.
+    process pool of up to `threads` workers, at most one per CPU) and
+    merged in block order, so the report is identical for every thread
+    count.
     """
     if not (2 <= lo <= hi):
         raise ValueError(f"invalid range [{lo}, {hi}]: need 2 <= lo <= hi")
@@ -303,11 +280,13 @@ def wieferich_scan(lo: int, hi: int, threads: int = 1) -> WieferichScanReport:
         (block_lo, min(block_lo + _SCAN_BLOCK - 1, hi))
         for block_lo in range(lo, hi + 1, _SCAN_BLOCK)
     ]
-    if threads > 1 and len(blocks) > 1:
+    # the pool forks all its workers at once, so never more than the CPUs
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: loading concurrent.futures costs every CLI start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_block, blocks))
     else:
         results = [_scan_block(b) for b in blocks]

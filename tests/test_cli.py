@@ -238,6 +238,24 @@ def test_conflicting_inputs_are_usage_error(capsys):
     assert "only one" in err
 
 
+# each flag lives only on the subcommands that read it
+@pytest.mark.parametrize("argv", [
+    *[[*command, "--threads", "2"] for command in (
+        ["expand", "--coeffs", "1,-1"], ["series", "--ones"], ["invert", "--ones"],
+        ["ghost", "--ones"], ["unghost", "--values", "1"], ["family", "--d", "1"],
+        ["fermat", "--d", "1", "--p", "3"], ["check", "--a", "2", "--p", "3"],
+        ["partitions"])],
+    *[[*command, "--order", "5"] for command in (
+        ["fermat", "--d", "1", "--p", "3"], ["check", "--a", "2", "--p", "3"],
+        ["wieferich", "--from", "2", "--to", "100"])],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_on_a_subcommand_that_ignores_it_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("prodex: error: unrecognized arguments: " + argv[-2])
+
+
 def test_threads_validation(capsys):
     code, _, err = run(capsys, "wieferich", "--from", "2", "--to", "100",
                        "--threads", "zero")
@@ -353,6 +371,19 @@ def test_values_past_4300_digits_round_trip(tmp_path, capsys):
 
 
 # --- strict integer input ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"coeffs": ' + b"[" * 200_000, id="deep-nesting"),
+    pytest.param(b'{"coeffs": ["1", "\xe9"]}', id="not-utf-8"),
+])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "expand", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"prodex: error: {path} is not valid JSON:")
 
 
 def _bad(case_id, *argv, record=None, env=None):

@@ -1,10 +1,12 @@
+import concurrent.futures
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 import sympy
 
-from prodex import congruences
 from prodex import (
     IdentityViolationError,
     NotPrimeError,
@@ -177,6 +179,11 @@ def test_is_prime_strong_pseudoprimes():
         (14, 16, []),
         (10, 2, []),
         (-5, 1, []),
+        # edges of the recursion for the base primes; the last window
+        # sieves with the deepest base, primes up to 2^20
+        *[(lo, hi, list(sympy.primerange(lo, hi + 1)))
+          for lo, hi in [(2, 2), (2, 3), (4, 4), (24, 25), (120, 121),
+                         (2**40 - 300, 2**40)]],
     ],
 )
 def test_primes_in_range(lo, hi, expected):
@@ -189,7 +196,7 @@ def test_primes_in_range_large_isolated_candidates():
 
 
 def test_primes_in_range_spans_blocks():
-    # a window crossing the internal block size
+    # a window crossing 2^20, the width of the scanner's blocks
     lo, hi = (1 << 20) - 50, (1 << 20) + 50
     assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1))
 
@@ -245,20 +252,44 @@ def test_scan_independent_of_thread_count():
 
 
 @pytest.mark.parametrize("lo, width", [(2**50, 2000), (2**62, 100)])
-def test_scan_of_large_window_uses_bounded_prime_source(monkeypatch, lo, width):
-    # a base sieve up to isqrt(2^62) = 2^31 would take gigabytes; above the
-    # sieve limit the scanner must test each candidate instead
-    real = congruences._small_primes_upto
-
-    def bounded(n):
-        assert n <= 2**20, f"base sieve up to {n}"
-        return real(n)
-
-    monkeypatch.setattr(congruences, "_small_primes_upto", bounded)
-    report = wieferich_scan(lo, lo + width)
+def test_scan_of_large_window_uses_bounded_prime_source(lo, width):
+    # a base sieve up to isqrt(2^62) = 2^31 would take gigabytes, and even
+    # the 2^50 window peaks past 100 MiB with base primes up to 2^25; above
+    # the sieve limit the scanner must test each candidate instead
+    tracemalloc.start()
+    try:
+        report = wieferich_scan(lo, lo + width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"peak {peak} bytes"
     assert report.primes_tested == sum(
         1 for n in range(lo, lo + width + 1) if sympy.isprime(n)
     )
+
+
+def test_scan_workers_capped_at_cpu_count(monkeypatch):
+    # the pool forks every worker at its first submit, so an unchecked
+    # --threads of a million would fork a million processes
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    wieferich_scan(2, 5 * 2**20, threads=10**6)
+    assert workers == [2]
 
 
 def test_scan_rejects_bad_range():
