@@ -20,6 +20,7 @@ import sys
 from dataclasses import asdict
 
 from .congruences import (
+    _family_exponents,
     fermat_check,
     fermat_witness,
     partition_numbers,
@@ -156,8 +157,8 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_family(args) -> int:
     order = _effective_order(args, intrinsic=None)
-    family = rational_family_series(args.d, order)
-    _emit(expand_to_product(family) if args.expand else family, args.format)
+    build = _family_exponents if args.expand else rational_family_series
+    _emit(build(args.d, order), args.format)
     return EXIT_OK
 
 

@@ -18,8 +18,10 @@ from itertools import compress
 from math import isqrt
 
 from .errors import IdentityViolationError, NotPrimeError
-from .products import expand_to_product
-from .series import TruncatedSeries, _Record, make_series, mul, reciprocal
+from .ghost import exponents_from_ghost
+from .products import ProductExpansion, expand_to_product
+from .series import (GhostSequence, TruncatedSeries, _Record, make_series, mul,
+                     neg_x_log_derivative, reciprocal)
 
 __all__ = [
     "FermatWitness",
@@ -122,6 +124,14 @@ def rational_family_series(d: int, order: int) -> TruncatedSeries:
     return f
 
 
+def _family_exponents(d: int, order: int) -> ProductExpansion:
+    """Exponents of (1-(d+1)x)/(1-dx) to `order` >= 1 from the O(N) ghosts of
+    its two-term factors, ghost(1-(d+1)x) - ghost(1-dx); no dense series."""
+    num, den = (neg_x_log_derivative(make_series([1, -a] + [0] * (order - 1))).values
+                for a in (d + 1, d))
+    return exponents_from_ghost(GhostSequence(tuple(u - v for u, v in zip(num, den))))
+
+
 def _require_odd_prime(p: int) -> None:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
@@ -139,8 +149,7 @@ def fermat_quotient_via_product(d: int, p: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     _require_odd_prime(p)
-    expansion = expand_to_product(rational_family_series(d, p))
-    quotient = expansion.exponents[p - 1]
+    quotient = _family_exponents(d, p).exponents[p - 1]
     if quotient * p != (d + 1) ** p - d ** p - 1:
         raise IdentityViolationError(
             f"family exponent at p={p}, d={d} disagrees with the closed form"
@@ -181,7 +190,12 @@ def _witness(d: int, p: int) -> FermatWitness:
     # n must come from the coefficients of 1/f.  Taking it by negating m's
     # ghost would make n a function of m by construction, and the index-2p
     # identity below would then hold whatever the expansion computed.
-    n = expand_to_product(reciprocal(f)).exponents
+    g = reciprocal(f).coeffs
+    # its ghost -x g'/g is -x g' * f only if g * f = 1, which also pins g_0
+    if mul(f, make_series(g)).coeffs != (1,) + (0,) * (2 * p):
+        raise IdentityViolationError(f"1/f times f is not 1 at d={d}, p={p}")
+    ghost = mul(f, make_series([-k * gk for k, gk in enumerate(g)])).coeffs[1:]
+    n = exponents_from_ghost(GhostSequence(ghost)).exponents
     m_p, m_2p = m[p - 1], m[2 * p - 1]
     n_p, n_2p = n[p - 1], n[2 * p - 1]
     lhs = 2 * p * m_2p + p * m_p * m_p + 2 * d ** p + 1

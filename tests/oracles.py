@@ -1,11 +1,13 @@
 """Slow, independent routes kept as test oracles.
 
 The package computes expansions, log-derivatives and inverse sequences
-through the ghost transform, and reciprocals and log-derivatives through
-one sparse division loop.  These are the routes it used before: each
-reaches the same answer a different way, so a fast route that drifts
-from its oracle fails a test instead of silently changing an answer.
-None of them calls the ghost layer or the package's reciprocal.
+through the ghost transform, reciprocals and log-derivatives through one
+sparse division loop, and the rational family and the Fermat witness
+from the ghosts of their two- and three-term factors.  These are the
+routes it used before: each reaches the same answer a different way, so
+a fast route that drifts from its oracle fails a test instead of
+silently changing an answer.  None of them calls the ghost layer or the
+package's reciprocal.
 """
 
 from math import isqrt
@@ -17,8 +19,10 @@ from prodex import (
     ProductExpansion,
     TruncatedSeries,
     derivative,
+    make_series,
     mul,
     product_to_series,
+    rational_family_series,
 )
 
 
@@ -116,3 +120,19 @@ def inverse_by_series_division(m: ProductExpansion) -> ProductExpansion:
     """Exponents of 1/f: multiply m's product out, take the reciprocal
     series and expand that by partial products."""
     return expand_by_partial_products(reciprocal_by_recurrence(product_to_series(m)))
+
+
+def family_by_dense_expansion(d: int, order: int) -> ProductExpansion:
+    """Exponents of (1-(d+1)x)/(1-dx): its dense series to `order`,
+    expanded by partial products."""
+    return expand_by_partial_products(rational_family_series(d, order))
+
+
+def witness_by_dense_expansion(
+    d: int, p: int
+) -> tuple[ProductExpansion, ProductExpansion]:
+    """Exponents m of f = 1 - x - d x^2 and n of 1/f to order 2p, each
+    expanded by partial products; n from the dense reciprocal series."""
+    f = make_series([1, -1, -d] + [0] * (2 * p - 2))
+    return (expand_by_partial_products(f),
+            expand_by_partial_products(reciprocal_by_recurrence(f)))

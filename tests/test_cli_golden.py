@@ -1,4 +1,5 @@
-"""Byte-exact CLI output for every README example, in both formats.
+"""Byte-exact CLI output for every README example and a few edge cases,
+in both formats.
 
 The expected bytes are literals captured from the CLI, so any change to
 the records, the emitters or the argument plumbing that alters a single
@@ -28,6 +29,16 @@ GOLDEN = [
     ("family --d 1 --order 8 --expand", 0,
      "1 1\n2 1\n3 2\n4 3\n5 6\n6 8\n7 18\n8 27\n",
      '{"order": 8, "exponents": ["1", "1", "2", "3", "6", "8", "18", "27"]}\n', ""),
+    ("family --d 0 --order 8 --expand", 0,
+     "1 1\n2 0\n3 0\n4 0\n5 0\n6 0\n7 0\n8 0\n",
+     '{"order": 8, "exponents": ["1", "0", "0", "0", "0", "0", "0", "0"]}\n', ""),
+    ("family --d -1 --order 8 --expand", 0,
+     "1 1\n2 -1\n3 0\n4 -1\n5 0\n6 0\n7 0\n8 -1\n",
+     '{"order": 8, "exponents": ["1", "-1", "0", "-1", "0", "0", "0", "-1"]}\n', ""),
+    ("family --d -3 --order 8 --expand", 0,
+     "1 1\n2 -3\n3 6\n4 -21\n5 42\n6 -120\n7 294\n8 -1029\n",
+     '{"order": 8, "exponents": ["1", "-3", "6", "-21", "42", "-120", "294", '
+     '"-1029"]}\n', ""),
     ("fermat --d 1 --p 3", 0,
      "d 1\np 3\nm_p 1\nm_2p 2\nn_p -1\nn_2p -1\nquotient 2\nidentity OK\n",
      '{"d": "1", "p": "3", "m_p": "1", "m_2p": "2", "n_p": "-1", "n_2p": "-1", '

@@ -9,8 +9,10 @@ import sympy
 
 from prodex import (
     IdentityViolationError,
+    congruences,
     NotPrimeError,
     expand_to_product,
+    exponents_from_ghost,
     fermat_check,
     fermat_quotient_via_product,
     fermat_witness,
@@ -21,8 +23,10 @@ from prodex import (
     primes_in_range,
     rational_family_series,
     reciprocal,
+    series,
     wieferich_scan,
 )
+from prodex.cli import main
 
 from oracles import expand_by_partial_products
 
@@ -118,6 +122,59 @@ def test_witness_matches_oracle_expansion(d, p):
     w = fermat_witness(d, p)
     assert (w.m_p, w.m_2p) == (m[p - 1], m[2 * p - 1])
     assert (w.n_p, w.n_2p) == (n[p - 1], n[2 * p - 1])
+
+
+@pytest.mark.parametrize("d, p, k", [
+    (d, p, k) for d, p in [(1, 5), (2, 7), (3, 13), (1, 31)] for k in range(2 * p + 1)
+])
+def test_witness_rejects_a_wrong_reciprocal_coefficient(monkeypatch, d, p, k):
+    # n is read from the coefficients g of 1/f through the ghost -x g' * f,
+    # which never reads g_0 and is 1/f's ghost only if g * f = 1.  So a
+    # corrupted g_k must be caught by the g * f check, before any ghost of
+    # 1/f is formed.
+    ghosts_formed = []
+
+    def recording(ghost):
+        ghosts_formed.append(ghost)
+        return exponents_from_ghost(ghost)
+
+    def corrupted(f):
+        g = list(reciprocal(f).coeffs)
+        g[k] += 1
+        return make_series(g)
+
+    monkeypatch.setattr(congruences, "reciprocal", corrupted)
+    monkeypatch.setattr(congruences, "exponents_from_ghost", recording)
+    congruences._witness.cache_clear()
+    with pytest.raises(IdentityViolationError, match="1/f times f is not 1"):
+        fermat_witness(d, p)
+    assert ghosts_formed == []
+
+
+def test_paper_routes_divide_only_by_sparse_series(monkeypatch, capsys):
+    # the family and the witness come from the ghosts of their two- and
+    # three-term factors; a dense divisor means an O(N^2) log-derivative
+    divide = series._divide
+    divisor_sizes = []
+
+    def recording(c, rhs):
+        divisor_sizes.append(sum(1 for ci in c if ci))
+        return divide(c, rhs)
+
+    monkeypatch.setattr(series, "_divide", recording)
+    congruences._witness.cache_clear()
+    routes = {
+        "fermat_witness": lambda: fermat_witness(2, 31),
+        "fermat_quotient_via_product": lambda: fermat_quotient_via_product(2, 31),
+        "family --expand": lambda: main(
+            ["family", "--d", "2", "--order", "300", "--expand"]),
+    }
+    for name, route in routes.items():
+        divisor_sizes.clear()
+        route()
+        assert divisor_sizes, name
+        assert max(divisor_sizes) <= 3, name
+    capsys.readouterr()
 
 
 def test_witness_rejects_even_prime():

@@ -9,12 +9,15 @@ from prodex import (
     GhostSequence,
     NotRealizableError,
     ProductExpansion,
+    congruences,
     expand_to_product,
     exponents_from_ghost,
+    fermat_witness,
     ghost_from_exponents,
     inverse_sequence,
     make_series,
     neg_x_log_derivative,
+    primes_in_range,
     rational_family_series,
     reciprocal,
     series,
@@ -25,10 +28,12 @@ from oracles import (
     divisors,
     expand_by_partial_products,
     exponents_by_trial_division,
+    family_by_dense_expansion,
     ghost_by_trial_division,
     inverse_by_series_division,
     log_derivative_by_division,
     reciprocal_by_recurrence,
+    witness_by_dense_expansion,
 )
 
 wide_ints = st.integers(min_value=-(10**6), max_value=10**6)
@@ -130,6 +135,21 @@ def test_inverse_matches_series_division(m):
 def test_family_expansion_matches_partial_products():
     f = rational_family_series(3, 200)
     assert expand_to_product(f) == expand_by_partial_products(f)
+
+
+@given(st.integers(min_value=-6, max_value=6),
+       st.integers(min_value=1, max_value=150))
+def test_family_matches_dense_expansion(d, order):
+    assert congruences._family_exponents(d, order) == family_by_dense_expansion(d, order)
+
+
+@given(st.sampled_from(primes_in_range(3, 79)),
+       st.integers(min_value=1, max_value=6))
+def test_witness_matches_dense_expansion(p, d):
+    m, n = witness_by_dense_expansion(d, p)
+    w = fermat_witness(d, p)
+    assert (w.m_p, w.m_2p) == (m.exponents[p - 1], m.exponents[2 * p - 1])
+    assert (w.n_p, w.n_2p) == (n.exponents[p - 1], n.exponents[2 * p - 1])
 
 
 def test_fast_routes_use_no_series_division(monkeypatch):
