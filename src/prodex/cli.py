@@ -17,8 +17,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
+from . import errors
 from .congruences import (
     _family_exponents,
     fermat_check,
@@ -26,13 +26,6 @@ from .congruences import (
     partition_numbers,
     rational_family_series,
     wieferich_scan,
-)
-from .errors import (
-    IdentityViolationError,
-    NonUnitConstantError,
-    NotPrimeError,
-    NotRealizableError,
-    OrderMismatchError,
 )
 from .ghost import exponents_from_ghost, ghost_from_exponents
 from .products import (
@@ -51,13 +44,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 
-_MATH_ERRORS = (
-    NotRealizableError,
-    NonUnitConstantError,
-    NotPrimeError,
-    IdentityViolationError,
-    OrderMismatchError,
-)
+# every error type the library defines is a mathematical failure
+_MATH_ERRORS = tuple(getattr(errors, name) for name in errors.__all__)
 
 
 class _UsageError(Exception):
@@ -72,17 +60,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # input and output plumbing
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    items = [piece.strip() for piece in text.split(",")]
-    if items == [""]:
-        raise _UsageError(f"empty {what} list")
-    try:
-        return [_parse_int(piece) for piece in items]
-    except ValueError:
-        raise _UsageError(f"could not parse {what} as a comma-separated "
-                          f"integer list: {text!r}") from None
 
 
 def _load_input_file(path: str) -> dict:
@@ -101,16 +78,22 @@ def _load_input_file(path: str) -> dict:
 
 
 def _effective_order(args, intrinsic: int | None) -> int:
+    """--order, else the input's own order, else the default, so only a
+    command that falls back to the default reads PRODEX_DEFAULT_ORDER."""
     if args.order is not None:
         return args.order
     if intrinsic is not None:
         return intrinsic
-    return args.default_order
+    try:
+        return _int_flag(1)(os.environ.get(ORDER_ENV_VAR, str(BUILTIN_DEFAULT_ORDER)))
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{ORDER_ENV_VAR}: {exc}") from None
 
 
 def _read_record(args, kind: type[_Record]) -> _Record:
     """The input record from --<FIELD>, --input or --ones, zero-padded or
-    truncated to the effective order."""
+    truncated to the effective order.  An inline list is read as the JSON
+    record {FIELD: [items]}, so both sources share one parser."""
     inline = getattr(args, kind.FIELD)
     ones = getattr(args, "ones", False)
     flags = [f"--{kind.FIELD}", "--input"] + (["--ones"] if "ones" in args else [])
@@ -121,14 +104,16 @@ def _read_record(args, kind: type[_Record]) -> _Record:
         raise _UsageError(f"{kind.FIELD} required: one of " + ", ".join(flags))
     if ones:
         values = [1] * _effective_order(args, intrinsic=None)
-    elif inline is not None:
-        values = _parse_int_list(inline, kind.FIELD)
     else:
-        data = _load_input_file(args.input)
+        if inline is not None:
+            source = f"--{kind.FIELD}"
+            data = {kind.FIELD: [item.strip() for item in inline.split(",")]}
+        else:
+            source, data = args.input, _load_input_file(args.input)
         try:
-            values = list(getattr(kind.from_json_dict(data), kind.FIELD))
+            values = list(kind.from_json_dict(data)[0])
         except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"{args.input}: bad {kind.FIELD} record: {exc}") from None
+            raise _UsageError(f"{source}: bad {kind.FIELD} record: {exc}") from None
     intrinsic = len(values) + kind.START - 1
     length = _effective_order(args, intrinsic) + 1 - kind.START
     return kind(tuple(values[:length] + [0] * (length - len(values))))
@@ -163,9 +148,9 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_fermat(args) -> int:
-    witness = fermat_witness(args.d, args.p)
-    lines = [f"{k} {v}" for k, v in asdict(witness).items()] + ["identity OK"]
-    _emit(witness, args.format, "\n".join(lines))
+    fields = fermat_witness(args.d, args.p).to_json_dict()
+    lines = [f"{k} {v}" for k, v in fields.items()] + ["identity OK"]
+    _emit(fields, args.format, "\n".join(lines))
     return EXIT_OK
 
 
@@ -323,19 +308,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _default_order_from_env() -> int:
-    raw = os.environ.get(ORDER_ENV_VAR)
-    if raw is None:
-        return BUILTIN_DEFAULT_ORDER
-    try:
-        value = _parse_int(raw)
-    except ValueError:
-        raise _UsageError(f"{ORDER_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"{ORDER_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
     # exact answers of any size must print and parse; 3.10 before 3.10.7
     # has neither the limit nor this switch
@@ -343,16 +315,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        args.default_order = _default_order_from_env()
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"prodex: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _MATH_ERRORS as exc:
         print(f"prodex: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except ValueError as exc:
-        # domain violations on otherwise well-formed flags (d < 1, bad range)
+    except (_UsageError, ValueError, OverflowError) as exc:
+        # ValueError: a domain violation on well-formed flags (d < 1, bad
+        # range); OverflowError: an order too large to index a list
         print(f"prodex: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

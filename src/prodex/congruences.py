@@ -12,7 +12,7 @@ an independent partition-number oracle for the all-ones product example.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
@@ -20,8 +20,8 @@ from math import isqrt
 from .errors import IdentityViolationError, NotPrimeError
 from .ghost import exponents_from_ghost
 from .products import ProductExpansion, expand_to_product
-from .series import (GhostSequence, TruncatedSeries, _Record, make_series, mul,
-                     neg_x_log_derivative, reciprocal)
+from .series import (GhostSequence, TruncatedSeries, _Record, _Value, make_series,
+                     mul, neg_x_log_derivative, reciprocal)
 
 __all__ = [
     "FermatWitness",
@@ -132,9 +132,17 @@ def _family_exponents(d: int, order: int) -> ProductExpansion:
     return exponents_from_ghost(GhostSequence(tuple(u - v for u, v in zip(num, den))))
 
 
-def _require_odd_prime(p: int) -> None:
+def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
+
+
+def _require_quotient_args(d: int, p: int) -> None:
+    """The domain of the quotient ((d+1)^p - d^p - 1)/p as the index-p and
+    index-2p derivations read it: d >= 1 and p an odd prime."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    _require_prime(p)
     if p == 2:
         raise ValueError("p = 2 is excluded; the index-2p derivation needs odd p")
 
@@ -146,9 +154,7 @@ def fermat_quotient_via_product(d: int, p: int) -> int:
     The expansion exponent at index p is checked against the closed form
     by independent big-integer evaluation before being returned.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _require_odd_prime(p)
+    _require_quotient_args(d, p)
     quotient = _family_exponents(d, p).exponents[p - 1]
     if quotient * p != (d + 1) ** p - d ** p - 1:
         raise IdentityViolationError(
@@ -157,8 +163,8 @@ def fermat_quotient_via_product(d: int, p: int) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class FermatWitness:
+class FermatWitness(_Value, namedtuple("FermatWitness",
+                                       "d p m_p m_2p n_p n_2p quotient")):
     """The exact ingredients of the index-2p divisor-sum identity
 
         2p*m_2p + p*m_p^2 + 2 d^p + 1 = -2p*n_2p - p*n_p^2 + 2 (d+1)^p - 1
@@ -169,16 +175,10 @@ class FermatWitness:
     to binomial coefficients.
     """
 
-    d: int
-    p: int
-    m_p: int
-    m_2p: int
-    n_p: int
-    n_2p: int
-    quotient: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {k: str(v) for k, v in asdict(self).items()}
+        return {k: str(v) for k, v in self._asdict().items()}
 
 
 # Bounded so a long-running process cannot grow it without limit.  A sweep
@@ -221,9 +221,7 @@ def fermat_witness(d: int, p: int) -> FermatWitness:
     """Expand f = 1 - x - d x^2 and 1/f to order 2p and balance the
     index-2p identity exactly.  Results are cached per (d, p): the values
     are immutable and fermat_check sums many of them."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    _require_odd_prime(p)
+    _require_quotient_args(d, p)
     return _witness(d, p)
 
 
@@ -238,8 +236,7 @@ def fermat_check(a: int, p: int) -> bool:
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    _require_prime(p)
     if p == 2:
         telescoped = (a * a - a) % 2 == 0
     else:
@@ -253,25 +250,21 @@ def fermat_check(a: int, p: int) -> bool:
 # Wieferich scanning
 
 
-@dataclass(frozen=True)
-class WieferichScanReport:
+class WieferichScanReport(_Value, namedtuple("WieferichScanReport",
+                                             "lo hi primes_tested hits")):
     """Outcome of scanning [lo, hi]: every prime in range was tested for
     2^(p-1) = 1 (mod p^2); hits are listed ascending."""
 
-    lo: int
-    hi: int
-    primes_tested: int
-    hits: tuple[int, ...]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def is_wieferich(p: int) -> bool:
     """2^(p-1) = 1 (mod p^2)?  For odd p this is equivalent to p dividing
     the Fermat quotient (2^p - 2)/p, i.e. the family exponent at index p."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    _require_prime(p)
     return pow(2, p - 1, p * p) == 1
 
 
@@ -313,14 +306,11 @@ def wieferich_scan(lo: int, hi: int, threads: int = 1) -> WieferichScanReport:
 # Partition numbers (independent oracle for the all-ones product example)
 
 
-@dataclass(frozen=True)
-class PartitionTable(_Record):
+class PartitionTable(_Record, namedtuple("PartitionTable", "values")):
     """p(0)..p(N): the number of ways to write n as a sum of positive
     integers."""
 
-    FIELD = "values"
-    START = 0
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
 def partition_numbers(order: int) -> PartitionTable:

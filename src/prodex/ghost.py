@@ -13,10 +13,10 @@ layer expands series and inverts sequences through this transform.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
-from .errors import NotRealizableError, OrderMismatchError
-from .series import GhostSequence, ProductExpansion
+from .errors import NotRealizableError
+from .series import GhostSequence, ProductExpansion, _require_same_order
 
 __all__ = [
     "GhostSequence",
@@ -90,8 +90,7 @@ def verify_reciprocal_identity(m: ProductExpansion, n: ProductExpansion) -> list
     All entries are true exactly when the two products multiply to 1
     through the truncation order.
     """
-    if m.order != n.order:
-        raise OrderMismatchError(f"orders differ: {m.order} vs {n.order}")
+    _require_same_order(m, n)
     gm = ghost_from_exponents(m).values
     gn = ghost_from_exponents(n).values
     return [a == -b for a, b in zip(gm, gn)]

@@ -10,7 +10,6 @@ back out (exponents -> series) is a direct O(N^2) loop.
 
 from __future__ import annotations
 
-from .errors import NonUnitConstantError
 from .ghost import exponents_from_ghost, ghost_from_exponents
 from .series import ProductExpansion, TruncatedSeries, neg_x_log_derivative
 
@@ -28,12 +27,8 @@ def expand_to_product(f: TruncatedSeries) -> ProductExpansion:
 
     The exponents exist and are unique integers; they are read off f's
     ghost sequence by solving the divisor-sum relation index by index.
+    The log-derivative checks c_0 = 1 and order >= 1.
     """
-    c = f.coeffs
-    if c[0] != 1:
-        raise NonUnitConstantError(f"constant term must be 1, got {c[0]}")
-    if f.order < 1:
-        raise ValueError("need order >= 1 to expand")
     return exponents_from_ghost(neg_x_log_derivative(f))
 
 

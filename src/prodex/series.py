@@ -7,8 +7,8 @@ arithmetic is exact no matter how large the values grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import NonUnitConstantError, OrderMismatchError
 
@@ -24,37 +24,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Record:
+class _Value:
+    """Equality and hash for the package's records, which are named tuples.
+    A record equals only a record of its own type: as a bare tuple it would
+    also equal a plain tuple, or a record of another type, with the same
+    values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # else tuple's own != would answer
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class _Record(_Value):
     """An exact integer sequence whose first entry has index START, held as
-    a tuple in the dataclass field named FIELD.
+    a tuple in the record's one field, named FIELD.
 
     This one base gives every sequence record its validation, its order
     (the index of the last entry), its JSON form and its plain "k v" lines.
     """
 
-    FIELD: ClassVar[str]
-    START: ClassVar[int]
+    __slots__ = ()
+    START = 0
 
-    def __post_init__(self) -> None:
-        values = getattr(self, self.FIELD)
-        if len(values) == 0:
-            raise ValueError(f"{type(self).__name__} needs at least one value")
-        for v in values:
+    def __init_subclass__(cls):
+        cls.FIELD = cls._fields[0]
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if len(self[0]) == 0:
+            raise ValueError(f"{cls.__name__} needs at least one value")
+        for v in self[0]:
             if not isinstance(v, int):
                 raise TypeError(
-                    f"{self.FIELD} must be ints, got {type(v).__name__}: {v!r}"
+                    f"{cls.FIELD} must be ints, got {type(v).__name__}: {v!r}"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "_Record":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def order(self) -> int:
-        return len(getattr(self, self.FIELD)) + self.START - 1
+        return len(self[0]) + self.START - 1
 
     def to_json_dict(self) -> dict:
         """JSON form {"order": N, FIELD: [...]} with values as decimal
         strings, so no consumer can lose precision on big values."""
-        return {"order": self.order,
-                self.FIELD: [str(v) for v in getattr(self, self.FIELD)]}
+        return {"order": self.order, self.FIELD: [str(v) for v in self[0]]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "_Record":
@@ -70,41 +94,34 @@ class _Record:
 
     def to_plain(self) -> str:
         """One "index value" line per entry, indices starting at START."""
-        values = getattr(self, self.FIELD)
-        return "\n".join(f"{k} {v}" for k, v in enumerate(values, start=self.START))
+        return "\n".join(f"{k} {v}" for k, v in enumerate(self[0], start=self.START))
 
 
-@dataclass(frozen=True)
-class TruncatedSeries(_Record):
+class TruncatedSeries(_Record, namedtuple("TruncatedSeries", "coeffs")):
     """c_0 + c_1 x + ... + c_N x^N, exact mod x^(N+1).
 
     Immutable; all operations return new values, so instances are safe to
     share between threads.
     """
 
-    FIELD = "coeffs"
-    START = 0
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GhostSequence(_Record):
+class GhostSequence(_Record, namedtuple("GhostSequence", "values")):
     """Divisor-sum values L_1..L_N: the coefficients of -x (ln f)'.
 
     For f = prod (1 - m_k x^k), L_N = sum over divisors s of N of
     m_{N/s}^s * (N/s).  Index 1-based: values[0] is L_1.
     """
 
-    FIELD = "values"
+    __slots__ = ()
     START = 1
-    values: tuple[int, ...]
 
     def negated(self) -> "GhostSequence":
         return GhostSequence(tuple(-v for v in self.values))
 
 
-@dataclass(frozen=True)
-class ProductExpansion(_Record):
+class ProductExpansion(_Record, namedtuple("ProductExpansion", "exponents")):
     """Exponent sequence m_1..m_N with semantics
     f == prod_{k=1}^{N} (1 - m_k x^k)  mod x^(N+1).
 
@@ -112,9 +129,8 @@ class ProductExpansion(_Record):
     internally exponents[k-1] holds m_k.
     """
 
-    FIELD = "exponents"
+    __slots__ = ()
     START = 1
-    exponents: tuple[int, ...]
 
 
 def _parse_int(value) -> int:
@@ -145,7 +161,7 @@ def truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(f.coeffs[: order + 1])
 
 
-def _require_same_order(a: TruncatedSeries, b: TruncatedSeries) -> None:
+def _require_same_order(a: _Record, b: _Record) -> None:
     if a.order != b.order:
         raise OrderMismatchError(f"orders differ: {a.order} vs {b.order}")
 

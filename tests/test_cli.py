@@ -426,3 +426,70 @@ def test_non_decimal_input_is_usage_error(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert out == ""
     assert err.startswith("prodex: error:") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses imports inspect, which imports ast and dis; every
+    # start-up would pay for building the records through it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, prodex.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# --- one parser per input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("item", ["+1", "x", "", "\u0661"],
+                         ids=["plus", "letter", "empty", "arabic-indic-digit"])
+def test_inline_list_and_input_file_give_one_reason(tmp_path, capsys, item):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"coeffs": ["1", item, "2"]}))
+    inline_prefix = "prodex: error: --coeffs: "
+    file_prefix = f"prodex: error: {path}: "
+    code, out, inline_err = run(capsys, "expand", "--coeffs", f"1,{item},2")
+    assert (code, out) == (1, "")
+    assert inline_err.startswith(inline_prefix)
+    code, out, file_err = run(capsys, "expand", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert file_err.startswith(file_prefix)
+    assert inline_err[len(inline_prefix):] == file_err[len(file_prefix):]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fermat", "--d", "1", "--p", "3"],
+    ["check", "--a", "10", "--p", "7"],
+    ["wieferich", "--from", "2", "--to", "100"],
+    ["expand", "--coeffs", "1,-1"],
+    ["family", "--d", "1", "--order", "3"],
+    ["partitions", "--order", "3"],
+], ids=lambda argv: argv[0])
+def test_default_order_is_read_only_by_a_fallback(capsys, monkeypatch, argv):
+    # none of these falls back to the default order, so a bad
+    # PRODEX_DEFAULT_ORDER changes nothing
+    monkeypatch.delenv("PRODEX_DEFAULT_ORDER", raising=False)
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("PRODEX_DEFAULT_ORDER", "many")
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["ghost", "--ones", "--order", str(10**20)], None),
+    (["expand", "--coeffs", "1", "--order", str(10**20)], None),
+    (["partitions", "--order", str(10**20)], None),
+    (["invert", "--ones"], str(10**20)),
+], ids=["ghost", "expand", "partitions", "env-invert"])
+def test_order_past_list_range_is_usage_error(capsys, monkeypatch, argv, env):
+    monkeypatch.delenv("PRODEX_DEFAULT_ORDER", raising=False)
+    if env is not None:
+        monkeypatch.setenv("PRODEX_DEFAULT_ORDER", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("prodex: error:") and "Traceback" not in err

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -5,6 +8,8 @@ from prodex import (
     GhostSequence,
     NonUnitConstantError,
     OrderMismatchError,
+    PartitionTable,
+    ProductExpansion,
     TruncatedSeries,
     derivative,
     make_series,
@@ -202,3 +207,24 @@ def test_mul_commutative(pair):
 def test_mul_associative(triple):
     a, b, c = triple
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@pytest.mark.parametrize("kind", [TruncatedSeries, ProductExpansion, GhostSequence,
+                                  PartitionTable], ids=lambda kind: kind.__name__)
+def test_every_construction_route_validates(kind):
+    # tuple.__new__ skips the record's own __new__, so it can build the
+    # empty record that every other route must refuse
+    empty = tuple.__new__(kind, ((),))
+    valid = kind((1, 2))
+    routes = [
+        lambda: kind(()),
+        lambda: kind(**{kind.FIELD: ()}),
+        lambda: kind._make([()]),
+        lambda: valid._replace(**{kind.FIELD: ()}),
+        lambda: kind.from_json_dict({kind.FIELD: []}),
+        lambda: pickle.loads(pickle.dumps(empty)),
+        lambda: copy.deepcopy(empty),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="needs at least one value"):
+            route()
