@@ -319,10 +319,11 @@ def main(argv: list[str] | None = None) -> int:
     except _MATH_ERRORS as exc:
         print(f"prodex: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (_UsageError, ValueError, OverflowError) as exc:
+    except (_UsageError, ValueError, OverflowError, MemoryError) as exc:
         # ValueError: a domain violation on well-formed flags (d < 1, bad
-        # range); OverflowError: an order too large to index a list
-        print(f"prodex: error: {exc}", file=sys.stderr)
+        # range); OverflowError: an order too large to index a list;
+        # MemoryError, whose text is empty: one too large to allocate
+        print(f"prodex: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

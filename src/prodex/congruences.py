@@ -5,8 +5,9 @@ The rational family (1-(d+1)x)/(1-dx) has the Fermat quotient
 and the index-2p instance of the divisor-sum identity between a series and
 its reciprocal forces p | (d+1)^p - d^p - 1 directly.  This module computes
 those objects exactly, sums them into a full check of p | a^p - a, scans
-prime ranges for the Wieferich condition 2^(p-1) = 1 mod p^2, and provides
-an independent partition-number oracle for the all-ones product example.
+prime ranges for the Wieferich condition 2^(p-1) = 1 mod p^2, and
+tabulates partition numbers as 1 over Euler's pentagonal series, outside
+the product and ghost layers, to referee the all-ones product example.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from math import isqrt
 from .errors import IdentityViolationError, NotPrimeError
 from .ghost import exponents_from_ghost
 from .products import ProductExpansion, expand_to_product
-from .series import (GhostSequence, TruncatedSeries, _Record, _Value, make_series,
-                     mul, neg_x_log_derivative, reciprocal)
+from .series import (GhostSequence, TruncatedSeries, _divide, _Record, _Value,
+                     make_series, mul, neg_x_log_derivative, reciprocal)
 
 __all__ = [
     "FermatWitness",
@@ -109,15 +110,13 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def rational_family_series(d: int, order: int) -> TruncatedSeries:
-    """Truncated series of (1-(d+1)x)/(1-dx), checked against that closed
-    form by multiplying back with (1-dx)."""
+    """Truncated series of (1-(d+1)x)/(1-dx), the numerator times 1/(1-dx),
+    checked by multiplying back with (1-dx); O(order) for two-term factors."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [1] + [-(d ** (n - 1)) for n in range(1, order + 1)]
-    f = make_series(coeffs)
-    check = mul(make_series([1, -d] + [0] * (order - 1)), f)
-    expected = tuple([1, -(d + 1)] + [0] * (order - 1))
-    if check.coeffs != expected:
+    num, den = (make_series([1, -a] + [0] * (order - 1)) for a in (d + 1, d))
+    f = mul(num, reciprocal(den))
+    if mul(den, f) != num:
         raise IdentityViolationError(
             f"(1-dx) * family(d={d}) failed to telescope to 1-(d+1)x"
         )
@@ -303,7 +302,7 @@ def wieferich_scan(lo: int, hi: int, threads: int = 1) -> WieferichScanReport:
 
 
 # ---------------------------------------------------------------------------
-# Partition numbers (independent oracle for the all-ones product example)
+# Partition numbers (independent referee for the all-ones product example)
 
 
 class PartitionTable(_Record, namedtuple("PartitionTable", "values")):
@@ -314,29 +313,20 @@ class PartitionTable(_Record, namedtuple("PartitionTable", "values")):
 
 
 def partition_numbers(order: int) -> PartitionTable:
-    """Exact p(0)..p(order) by the pentagonal-number recurrence
+    """Exact p(0)..p(order), the coefficients of 1/prod_{k>=1} (1 - x^k).
 
-        p(n) = sum_j (-1)^(j-1) [ p(n - j(3j-1)/2) + p(n - j(3j+1)/2) ].
-
-    This route never touches the product machinery, so it can referee the
-    all-ones expansion identities.
+    By Euler's pentagonal number theorem that product is the sum over the
+    integers j of (-1)^j x^(j(3j-1)/2), whose terms up to x^N all have
+    |j| <= isqrt(N).  Dividing 1 by it in the sparse division loop of the
+    series layer is the pentagonal-number recurrence.  This route calls
+    nothing in the product or ghost layer, so it can referee the all-ones
+    expansion identities.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    table = [0] * (order + 1)
-    table[0] = 1
-    for n in range(1, order + 1):
-        total = 0
-        j = 1
-        while True:
-            g = j * (3 * j - 1) // 2
-            if g > n:
-                break
-            sign = 1 if j % 2 else -1
-            total += sign * table[n - g]
-            g += j  # j(3j+1)/2
-            if g <= n:
-                total += sign * table[n - g]
-            j += 1
-        table[n] = total
-    return PartitionTable(tuple(table))
+    euler = [0] * (order + 1)
+    for j in range(-isqrt(order), isqrt(order) + 1):
+        g = j * (3 * j - 1) // 2
+        if g <= order:
+            euler[g] = -1 if j % 2 else 1
+    return PartitionTable(tuple(_divide(euler, [1] + [0] * order)))

@@ -1,13 +1,13 @@
 """Slow, independent routes kept as test oracles.
 
 The package computes expansions, log-derivatives and inverse sequences
-through the ghost transform, reciprocals and log-derivatives through one
-sparse division loop, and the rational family and the Fermat witness
-from the ghosts of their two- and three-term factors.  These are the
-routes it used before: each reaches the same answer a different way, so
-a fast route that drifts from its oracle fails a test instead of
-silently changing an answer.  None of them calls the ghost layer or the
-package's reciprocal.
+through the ghost transform; reciprocals, log-derivatives, the rational
+family's series and the partition numbers through one sparse division
+loop; and the family's exponents and the Fermat witness from the ghosts
+of their two- and three-term factors.  These are the routes it used
+before: each reaches the same answer a different way, so a fast route
+that drifts from its oracle fails a test instead of silently changing an
+answer.  None of them calls the ghost layer or the package's reciprocal.
 """
 
 from math import isqrt
@@ -22,7 +22,6 @@ from prodex import (
     make_series,
     mul,
     product_to_series,
-    rational_family_series,
 )
 
 
@@ -122,10 +121,16 @@ def inverse_by_series_division(m: ProductExpansion) -> ProductExpansion:
     return expand_by_partial_products(reciprocal_by_recurrence(product_to_series(m)))
 
 
+def family_by_closed_form(d: int, order: int) -> TruncatedSeries:
+    """(1-(d+1)x)/(1-dx) = 1 - sum_{n>=1} d^(n-1) x^n to `order`, each
+    coefficient from its own power of d."""
+    return make_series([1] + [-(d ** (n - 1)) for n in range(1, order + 1)])
+
+
 def family_by_dense_expansion(d: int, order: int) -> ProductExpansion:
     """Exponents of (1-(d+1)x)/(1-dx): its dense series to `order`,
     expanded by partial products."""
-    return expand_by_partial_products(rational_family_series(d, order))
+    return expand_by_partial_products(family_by_closed_form(d, order))
 
 
 def witness_by_dense_expansion(
@@ -136,3 +141,28 @@ def witness_by_dense_expansion(
     f = make_series([1, -1, -d] + [0] * (2 * p - 2))
     return (expand_by_partial_products(f),
             expand_by_partial_products(reciprocal_by_recurrence(f)))
+
+
+def partitions_by_pentagonal_recurrence(order: int) -> tuple[int, ...]:
+    """p(0)..p(order) by the pentagonal-number recurrence
+
+        p(n) = sum_{j>=1} (-1)^(j-1) [ p(n - j(3j-1)/2) + p(n - j(3j+1)/2) ],
+
+    each p(n) summed over the pentagonal numbers up to n."""
+    table = [0] * (order + 1)
+    table[0] = 1
+    for n in range(1, order + 1):
+        total = 0
+        j = 1
+        while True:
+            g = j * (3 * j - 1) // 2
+            if g > n:
+                break
+            sign = 1 if j % 2 else -1
+            total += sign * table[n - g]
+            g += j  # j(3j+1)/2
+            if g <= n:
+                total += sign * table[n - g]
+            j += 1
+        table[n] = total
+    return tuple(table)

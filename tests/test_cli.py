@@ -493,3 +493,19 @@ def test_order_past_list_range_is_usage_error(capsys, monkeypatch, argv, env):
     assert code == 1
     assert out == ""
     assert err.startswith("prodex: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ghost", "--ones"],
+    ["partitions"],
+    ["expand", "--coeffs", "1"],
+    ["family", "--d", "1", "--expand"],
+    ["family", "--d", "1"],
+], ids=["ghost", "partitions", "expand", "family-expand", "family"])
+def test_order_too_large_to_allocate_is_usage_error(capsys, argv):
+    # 2^62 still indexes a list, but no machine holds one that long
+    code, out, err = run(capsys, *argv, "--order", str(2**62))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("prodex: error:") and "memory" in err
+    assert "Traceback" not in err

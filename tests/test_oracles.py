@@ -1,8 +1,11 @@
 """Each fast route against the slow, independent route it replaced."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
 import prodex
 from prodex import (
@@ -17,21 +20,25 @@ from prodex import (
     inverse_sequence,
     make_series,
     neg_x_log_derivative,
+    partition_numbers,
     primes_in_range,
     rational_family_series,
     reciprocal,
     series,
 )
+from prodex.cli import main
 
 from conftest import expansions, unit_series
 from oracles import (
     divisors,
     expand_by_partial_products,
     exponents_by_trial_division,
+    family_by_closed_form,
     family_by_dense_expansion,
     ghost_by_trial_division,
     inverse_by_series_division,
     log_derivative_by_division,
+    partitions_by_pentagonal_recurrence,
     reciprocal_by_recurrence,
     witness_by_dense_expansion,
 )
@@ -137,6 +144,12 @@ def test_family_expansion_matches_partial_products():
     assert expand_to_product(f) == expand_by_partial_products(f)
 
 
+@given(st.integers(min_value=-50, max_value=50),
+       st.integers(min_value=1, max_value=300))
+def test_family_series_matches_closed_form(d, order):
+    assert rational_family_series(d, order) == family_by_closed_form(d, order)
+
+
 @given(st.integers(min_value=-6, max_value=6),
        st.integers(min_value=1, max_value=150))
 def test_family_matches_dense_expansion(d, order):
@@ -178,3 +191,50 @@ def test_fast_routes_use_no_series_division(monkeypatch):
         neg_x_log_derivative(f),
         inverse_sequence(m),
     ) == expected
+
+
+def test_partitions_match_pentagonal_recurrence_at_every_order():
+    # which pentagonal terms the division sees depends on the order, so
+    # every order gets a table of its own
+    expected = partitions_by_pentagonal_recurrence(500)
+    for order in range(501):
+        assert partition_numbers(order).values == expected[: order + 1], order
+
+
+@pytest.mark.parametrize("n", [1000, 5000, 16000])
+def test_partitions_match_sympy(n):
+    assert partition_numbers(n).values[n] == int(sympy_partition(n))
+
+
+def test_partition_route_calls_no_public_series_products_or_ghost_function(
+        monkeypatch, capsys):
+    # partition_numbers referees `partitions --via-product`, so it must not
+    # share a public function with the layers it checks; every package
+    # binding of one is replaced by one that raises
+    public = {
+        value
+        for layer in (series, prodex.products, prodex.ghost)
+        for value in (getattr(layer, name) for name in layer.__all__)
+        if callable(value) and not isinstance(value, type)
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("public series, products or ghost function called")
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "prodex" or name.startswith("prodex.")]
+    replaced = 0
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if callable(value) and value in public:
+                monkeypatch.setattr(module, name, forbidden)
+                replaced += 1
+    # each is bound at least in its own module and in the package
+    assert replaced >= 2 * len(public)
+    with pytest.raises(AssertionError):
+        congruences.reciprocal(make_series([1, 1]))
+    expected = partitions_by_pentagonal_recurrence(300)
+    assert partition_numbers(300).values == expected
+    assert main(["partitions", "--order", "40"]) == 0
+    lines = [f"{k} {v}" for k, v in enumerate(expected[:41])]
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
