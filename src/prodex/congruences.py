@@ -5,9 +5,10 @@ The rational family (1-(d+1)x)/(1-dx) has the Fermat quotient
 and the index-2p instance of the divisor-sum identity between a series and
 its reciprocal forces p | (d+1)^p - d^p - 1 directly.  This module computes
 those objects exactly, sums them into a full check of p | a^p - a, scans
-prime ranges for the Wieferich condition 2^(p-1) = 1 mod p^2, and
-tabulates partition numbers as 1 over Euler's pentagonal series, outside
-the product and ghost layers, to referee the all-ones product example.
+prime ranges for the Wieferich condition 2^(p-1) = 1 mod p^2 in equal
+shares, and tabulates partition numbers by the pentagonal recurrence, block
+by block, outside the product and ghost layers, to referee the all-ones
+product example.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
+from operator import add, sub
 
 from .errors import IdentityViolationError, NotPrimeError
 from .ghost import exponents_from_ghost
 from .products import ProductExpansion, expand_to_product
-from .series import (GhostSequence, TruncatedSeries, _divide, _Record, _Value,
+from .series import (GhostSequence, TruncatedSeries, _Record, _Value,
                      make_series, mul, neg_x_log_derivative, reciprocal)
 
 __all__ = [
@@ -47,8 +49,13 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # per-candidate Miller-Rabin; isqrt(2^40) = 2^20 keeps base sieves tiny.
 _SIEVE_LIMIT = 2**40
 
-# wieferich_scan sieves, tests and merges its range in blocks this wide
+# wieferich_scan sieves, tests and merges its range in blocks at most this wide
 _SCAN_BLOCK = 1 << 20
+
+# wieferich_scan starts worker processes only for a window of at least this
+# much serial work, in sieved candidates of ~0.4 us (a Miller-Rabin one above
+# _SIEVE_LIMIT counts 16): about 0.1 s, against ~60 ms to start a pool
+_POOL_WORK = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -84,19 +91,22 @@ def is_prime(n: int) -> bool:
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], ascending.
 
-    Up to hi = 2^40 one segmented sieve over [lo, hi], crossed off by the
+    Up to 2^40 one segmented sieve over [lo, hi], crossed off by the
     primes up to isqrt(hi) that this function returns for [2, isqrt(hi)].
     Its flags take one byte per candidate, which is less than the list it
     returns below e^36 (an 8-byte slot and an int of at least 28 bytes per
-    prime, at density about 1/ln hi).  Above 2^40 each candidate gets the
+    prime, at density about 1/ln hi).  Each candidate above 2^40 gets the
     Miller-Rabin test of is_prime (proven below 3.317e24), which suits
-    narrow windows of large isolated candidates.
+    narrow windows of large isolated candidates; a window across 2^40
+    sieves the part below and tests only the part above.
     """
     lo = max(lo, 2)
     if lo > hi:
         return []
     if hi > _SIEVE_LIMIT:
-        return [n for n in range(lo, hi + 1) if is_prime(n)]
+        return primes_in_range(lo, _SIEVE_LIMIT) + [
+            n for n in range(max(lo, _SIEVE_LIMIT + 1), hi + 1) if is_prime(n)
+        ]
     flags = bytearray([1]) * (hi - lo + 1)
     for p in primes_in_range(2, isqrt(hi)):
         start = max(p * p, ((lo + p - 1) // p) * p)
@@ -272,22 +282,31 @@ def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[int]]:
     return len(primes), [p for p in primes if pow(2, p - 1, p * p) == 1]
 
 
+def _scan_blocks(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    """[lo, hi] cut into max(ceil(width / _SCAN_BLOCK), workers) contiguous
+    blocks whose widths differ by at most one, in ascending order."""
+    width = hi - lo + 1
+    count = max(-(-width // _SCAN_BLOCK), workers)
+    return [(lo + width * i // count, lo + width * (i + 1) // count - 1)
+            for i in range(count)]
+
+
 def wieferich_scan(lo: int, hi: int, threads: int = 1) -> WieferichScanReport:
     """Test every prime in [lo, hi] for the Wieferich condition.
 
-    The range is cut into fixed blocks processed independently (in a
-    process pool of up to `threads` workers, at most one per CPU) and
-    merged in block order, so the report is identical for every thread
-    count.
+    The range is cut into equal blocks, at least one per worker and none
+    wider than _SCAN_BLOCK, processed independently and merged in order,
+    so the report is identical for every thread count.  Up to `threads`
+    worker processes, at most one per CPU, share the blocks of a window
+    whose serial work outweighs starting them; smaller windows run serially.
     """
     if not (2 <= lo <= hi):
         raise ValueError(f"invalid range [{lo}, {hi}]: need 2 <= lo <= hi")
-    blocks = [
-        (block_lo, min(block_lo + _SCAN_BLOCK - 1, hi))
-        for block_lo in range(lo, hi + 1, _SCAN_BLOCK)
-    ]
+    # each candidate left to Miller-Rabin, above _SIEVE_LIMIT, counts 16
+    work = hi - lo + 1 + 15 * max(0, hi - max(lo - 1, _SIEVE_LIMIT))
     # the pool forks all its workers at once, so never more than the CPUs
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    workers = min(threads, os.cpu_count() or 1) if work >= _POOL_WORK else 1
+    blocks = _scan_blocks(lo, hi, workers)
     if workers > 1:
         # imported here: loading concurrent.futures costs every CLI start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -316,17 +335,36 @@ def partition_numbers(order: int) -> PartitionTable:
     """Exact p(0)..p(order), the coefficients of 1/prod_{k>=1} (1 - x^k).
 
     By Euler's pentagonal number theorem that product is the sum over the
-    integers j of (-1)^j x^(j(3j-1)/2), whose terms up to x^N all have
-    |j| <= isqrt(N).  Dividing 1 by it in the sparse division loop of the
-    series layer is the pentagonal-number recurrence.  This route calls
-    nothing in the product or ghost layer, so it can referee the all-ones
-    expansion identities.
+    integers j of (-1)^j x^(j(3j-1)/2), so p(n) is the sum over j != 0 of
+    (-1)^(j+1) p(n - j(3j-1)/2), offsets up to n having |j| <= isqrt(n).
+    The table fills in blocks of w = isqrt(order) rows.  An offset g >= w
+    reads only rows below the block: its whole slice is summed column by
+    column with the others of its sign.  Smaller offsets, and those first
+    landing inside the block, are summed row by row.  Calling no series,
+    product or ghost function, this referees the all-ones expansion.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    euler = [0] * (order + 1)
-    for j in range(-isqrt(order), isqrt(order) + 1):
-        g = j * (3 * j - 1) // 2
-        if g <= order:
-            euler[g] = -1 if j % 2 else 1
-    return PartitionTable(tuple(_divide(euler, [1] + [0] * order)))
+    # allocated before the offsets, so an order too large to hold fails at once
+    table = [1] + [0] * order
+    terms = [(g, add if j % 2 else sub)  # offsets of j = 1, -1, 2, -2, ...
+             for j in range(1, isqrt(order) + 1)
+             for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= order]
+    width = isqrt(order) or 1
+    for lo in range(1, order + 1, width):
+        hi = min(lo + width, order + 1)
+        rows = {add: [[0] * (hi - lo)], sub: [[0] * (hi - lo)]}  # never empty
+        inner = []  # offsets summed row by row, still ascending
+        for g, op in terms:
+            if width <= g <= lo:
+                rows[op].append(table[lo - g : hi - g])
+            elif g < hi:
+                inner.append((g, op))
+        far = map(sub, map(sum, zip(*rows[add])), map(sum, zip(*rows[sub])))
+        for n, acc in zip(range(lo, hi), far):
+            for g, op in inner:
+                if g > n:
+                    break
+                acc = op(acc, table[n - g])
+            table[n] = acc
+    return PartitionTable(tuple(table))

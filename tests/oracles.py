@@ -1,13 +1,14 @@
 """Slow, independent routes kept as test oracles.
 
 The package computes expansions, log-derivatives and inverse sequences
-through the ghost transform; reciprocals, log-derivatives, the rational
-family's series and the partition numbers through one sparse division
-loop; and the family's exponents and the Fermat witness from the ghosts
-of their two- and three-term factors.  These are the routes it used
-before: each reaches the same answer a different way, so a fast route
-that drifts from its oracle fails a test instead of silently changing an
-answer.  None of them calls the ghost layer or the package's reciprocal.
+through the ghost transform; reciprocals, log-derivatives and the rational
+family's series through one sparse division loop; the partition numbers
+by a block-wise pentagonal recurrence; and the family's exponents and the
+Fermat witness from the ghosts of their two- and three-term factors.
+These are the routes it used before: each reaches the same answer a
+different way, so a fast route that drifts from its oracle fails a test
+instead of silently changing an answer.  None of them calls the ghost
+layer or the package's reciprocal.
 """
 
 from math import isqrt
@@ -23,6 +24,7 @@ from prodex import (
     mul,
     product_to_series,
 )
+from prodex.series import _divide
 
 
 def expand_by_partial_products(f: TruncatedSeries) -> ProductExpansion:
@@ -166,3 +168,15 @@ def partitions_by_pentagonal_recurrence(order: int) -> tuple[int, ...]:
             j += 1
         table[n] = total
     return tuple(table)
+
+
+def partitions_by_sparse_division(order: int) -> tuple[int, ...]:
+    """p(0)..p(order) as 1 over Euler's pentagonal series
+    prod (1 - x^k) = sum_j (-1)^j x^(j(3j-1)/2), one row at a time in the
+    series layer's sparse division loop."""
+    euler = [0] * (order + 1)
+    for j in range(-isqrt(order), isqrt(order) + 1):
+        g = j * (3 * j - 1) // 2
+        if g <= order:
+            euler[g] = -1 if j % 2 else 1
+    return tuple(_divide(euler, [1] + [0] * order))

@@ -258,6 +258,22 @@ def test_primes_in_range_spans_blocks():
     assert primes_in_range(lo, hi) == list(sympy.primerange(lo, hi + 1))
 
 
+def test_primes_in_range_tests_only_candidates_above_sieve_limit(monkeypatch):
+    # a window across the limit sieves its part at or below the limit and
+    # gives only the rest to Miller-Rabin
+    limit = congruences._SIEVE_LIMIT
+    tested = []
+
+    def recording(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(congruences, "is_prime", recording)
+    primes = primes_in_range(limit - 2000, limit + 300)
+    assert tested == list(range(limit + 1, limit + 301))
+    assert primes == list(sympy.primerange(limit - 2000, limit + 301))
+
+
 # --- Wieferich ---------------------------------------------------------------
 
 
@@ -349,6 +365,70 @@ def test_scan_workers_capped_at_cpu_count(monkeypatch):
     assert workers == [2]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of every pool wieferich_scan starts, on a stand-in
+    pool that maps serially in the test process; four CPUs."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return sizes
+
+
+@pytest.mark.parametrize("lo, hi, workers", [
+    (2, 2, 1), (2, 2, 4), (2, 3, 4), (5, 2**20 + 4, 1), (5, 2**20 + 5, 1),
+    (5, 2**20 + 6, 1), (2, 10**7, 2), (10**9, 10**9 + 999, 3),
+    (2**40 - 2**19, 2**40 + 2**13, 2), (2**50, 2**50 + 50_000, 2),
+])
+def test_scan_blocks_cover_the_window_in_equal_shares(lo, hi, workers):
+    blocks = congruences._scan_blocks(lo, hi, workers)
+    width = hi - lo + 1
+    assert len(blocks) == max(-(-width // 2**20), workers)
+    assert blocks[0][0] == lo and blocks[-1][1] == hi
+    assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
+    sizes = [b - a + 1 for a, b in blocks]
+    assert sum(sizes) == width
+    assert max(sizes) <= 2**20 and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("lo, hi, started", [
+    (2, 500_000, [2]),
+    (10**9, 10**9 + 500_000, [2]),
+    (2**50, 2**50 + 50_000, [2]),
+    (2, 20_000, []),
+    (2**50, 2**50 + 1000, []),
+])
+def test_scan_starts_a_pool_only_when_the_window_pays_for_it(
+        pool_sizes, lo, hi, started):
+    report = wieferich_scan(lo, hi, threads=2)
+    assert pool_sizes == started
+    assert report == wieferich_scan(lo, hi, threads=1)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2, 2), (2, 2**20 + 1), (3, 2**20 + 3), (2**40 - 2**18, 2**40 + 2**13),
+], ids=["width-1", "width-2^20", "width-2^20+1", "across-2^40"])
+def test_scan_report_identical_for_threads_1_to_4(pool_sizes, lo, hi):
+    reports = [wieferich_scan(lo, hi, threads=t) for t in (1, 2, 3, 4)]
+    assert all(r == reports[0] for r in reports)
+    assert reports[0].primes_tested == len(list(sympy.primerange(lo, hi + 1)))
+    assert len(pool_sizes) == (0 if hi == lo else 3)
+
+
 def test_scan_rejects_bad_range():
     with pytest.raises(ValueError):
         wieferich_scan(10, 5)
@@ -397,3 +477,16 @@ def test_partition_values_positive_and_nondecreasing():
     values = partition_numbers(100).values
     assert all(v > 0 for v in values)
     assert all(values[n] >= values[n - 1] for n in range(1, 101))
+
+
+def test_partition_table_allocated_before_pentagonal_terms():
+    # an order too large to hold must fail at its table, at once: listing
+    # its 2^32 pentagonal offsets first would grow to many gigabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            partition_numbers(2**62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"peak {peak} bytes"

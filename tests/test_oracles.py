@@ -39,6 +39,7 @@ from oracles import (
     inverse_by_series_division,
     log_derivative_by_division,
     partitions_by_pentagonal_recurrence,
+    partitions_by_sparse_division,
     reciprocal_by_recurrence,
     witness_by_dense_expansion,
 )
@@ -199,6 +200,16 @@ def test_partitions_match_pentagonal_recurrence_at_every_order():
     expected = partitions_by_pentagonal_recurrence(500)
     for order in range(501):
         assert partition_numbers(order).values == expected[: order + 1], order
+
+
+def test_partitions_match_both_oracles_at_every_order_to_3000():
+    # the table fills in blocks of isqrt(order) rows, so each order has its
+    # own block edges and its own split of offsets between whole-block
+    # slices and the row-by-row sum
+    division = partitions_by_sparse_division(3000)
+    assert partitions_by_pentagonal_recurrence(3000) == division
+    for order in range(3001):
+        assert partition_numbers(order).values == division[: order + 1], order
 
 
 @pytest.mark.parametrize("n", [1000, 5000, 16000])
