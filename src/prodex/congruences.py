@@ -21,10 +21,9 @@ from math import isqrt
 from operator import add, sub
 
 from .errors import IdentityViolationError, NotPrimeError
-from .ghost import exponents_from_ghost
-from .products import ProductExpansion, expand_to_product
-from .series import (GhostSequence, TruncatedSeries, _Record, _Value,
-                     make_series, mul, neg_x_log_derivative, reciprocal)
+from .ghost import _solve, exponents_from_ghost
+from .series import (GhostSequence, ProductExpansion, TruncatedSeries, _Record,
+                     _Value, make_series, mul, neg_x_log_derivative, reciprocal)
 
 __all__ = [
     "FermatWitness",
@@ -192,10 +191,9 @@ class FermatWitness(_Value, namedtuple("FermatWitness",
 
 # Bounded so a long-running process cannot grow it without limit.  A sweep
 # of fermat_check over a = 1..50 at one p reuses only that p's 49 witnesses.
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def _witness(d: int, p: int) -> FermatWitness:
     f = make_series([1, -1, -d] + [0] * (2 * p - 2))
-    m = expand_to_product(f).exponents
     # n must come from the coefficients of 1/f.  Taking it by negating m's
     # ghost would make n a function of m by construction, and the index-2p
     # identity below would then hold whatever the expansion computed.
@@ -204,7 +202,9 @@ def _witness(d: int, p: int) -> FermatWitness:
     if mul(f, make_series(g)).coeffs != (1,) + (0,) * (2 * p):
         raise IdentityViolationError(f"1/f times f is not 1 at d={d}, p={p}")
     ghost = mul(f, make_series([-k * gk for k, gk in enumerate(g)])).coeffs[1:]
-    n = exponents_from_ghost(GhostSequence(ghost)).exponents
+    lattice = [2 * p % k == 0 for k in range(1, 2 * p + 1)]
+    m = _solve(neg_x_log_derivative(f).values, lattice)
+    n = _solve(ghost, lattice)
     m_p, m_2p = m[p - 1], m[2 * p - 1]
     n_p, n_2p = n[p - 1], n[2 * p - 1]
     lhs = 2 * p * m_2p + p * m_p * m_p + 2 * d ** p + 1
@@ -227,9 +227,9 @@ def _witness(d: int, p: int) -> FermatWitness:
 
 
 def fermat_witness(d: int, p: int) -> FermatWitness:
-    """Expand f = 1 - x - d x^2 and 1/f to order 2p and balance the
-    index-2p identity exactly.  Results are cached per (d, p): the values
-    are immutable and fermat_check sums many of them."""
+    """Solve the exponents of f = 1 - x - d x^2 and of 1/f at 1, 2, p, 2p,
+    the divisors of 2p, and balance the index-2p identity exactly.  Results
+    are cached per (d, p): immutable, and fermat_check sums many of them."""
     _require_quotient_args(d, p)
     return _witness(d, p)
 

@@ -7,13 +7,14 @@ factor by factor gives
     L_N = sum over divisors s of N of  m_{N/s}^s * (N/s),
 
 which is the ghost map of big Witt vectors.  Both directions run on one
-kernel, _divisor_sums, with no divisor enumeration or table.  The product
-layer expands series and inverts sequences through this transform.
+table-free kernel, _divisor_sums, and one solver, _solve, inverts it: over
+all indices for the product layer, over a divisor-closed set for the witness.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress, count, repeat
 
 from .errors import NotRealizableError
 from .series import GhostSequence, ProductExpansion, _require_same_order
@@ -32,7 +33,7 @@ def _divisor_sums(exps: Sequence[int], order: int) -> Iterator[int]:
 
     N runs in blocks [lo, 2 lo).  Every proper divisor of an N in a block
     is below lo, so a block reads only m_1..m_{lo-1}, and a caller solving
-    for the exponents may append m_N to exps after taking N's sum.  Each
+    for the exponents may store m_N in exps after taking N's sum.  Each
     block pushes q * m_q^s to the multiples q*s it holds, the power built
     one multiplication per step.  Work and memory end with the block that
     holds the index where the caller stops, below twice that index, so an
@@ -63,25 +64,29 @@ def ghost_from_exponents(m: ProductExpansion) -> GhostSequence:
     ))
 
 
-def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
-    """Solve the divisor-sum relation for m_1..m_N, increasing N.
-
-    At index N only the s = 1 term contains m_N, contributing N * m_N, so
+def _solve(values: Sequence[int], wanted: Iterable[bool]) -> list[int]:
+    """Solve, increasing N, each m_N whose flag in `wanted` is true (a set
+    closed under divisors).  Only the s = 1 term holds m_N, as N * m_N:
 
         m_N = (L_N - sum_{s|N, s>1} m_{N/s}^s * (N/s)) / N.
 
-    The division must be exact; a nonzero remainder means no integer
-    exponent sequence has this ghost, and NotRealizableError reports the
-    failing index and remainder.
+    Other entries stay 0, and _divisor_sums skips their powers.  A nonzero
+    remainder means no integer exponent sequence has this ghost, and
+    NotRealizableError reports the failing index and remainder.
     """
-    exps: list[int] = []
-    sums = _divisor_sums(exps, ghost.order)
-    for n, (value, partial) in enumerate(zip(ghost.values, sums), start=1):
+    exps = [0] * len(values)
+    sums = _divisor_sums(exps, len(values))
+    for n, value, partial in compress(zip(count(1), values, sums), wanted):
         mn, remainder = divmod(value - partial, n)
         if remainder:
             raise NotRealizableError(n, remainder)
-        exps.append(mn)
-    return ProductExpansion(tuple(exps))
+        exps[n - 1] = mn
+    return exps
+
+
+def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
+    """m_1..m_N by _solve at every index; NotRealizableError if inexact."""
+    return ProductExpansion(tuple(_solve(ghost.values, repeat(True))))
 
 
 def verify_reciprocal_identity(m: ProductExpansion, n: ProductExpansion) -> list[bool]:

@@ -8,7 +8,9 @@ Fermat witness from the ghosts of their two- and three-term factors.
 These are the routes it used before: each reaches the same answer a
 different way, so a fast route that drifts from its oracle fails a test
 instead of silently changing an answer.  None of them calls the ghost
-layer or the package's reciprocal.
+layer or the package's reciprocal.  first_dwork_failure is no former
+route but an independent criterion: it decides where a ghost stops being
+realizable from the ghost values alone, with no exponent solved.
 """
 
 from math import isqrt
@@ -93,6 +95,40 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
     large.reverse()
     return small + large
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def first_dwork_failure(values) -> int | None:
+    """The first N with L_N != L_{N/p} (mod p^{v_p(N)}) for a prime p | N,
+    or None if there is none.
+
+    By Dwork's lemma for big Witt vectors these congruences hold at every
+    N up to some index exactly when L_1..L_N is the ghost of integer
+    exponents m_1..m_N, so the first failure is where the unghost fails.
+    Only ghost values are compared: no exponent and no power of one.
+    """
+    for n in range(1, len(values) + 1):
+        for p in prime_factors(n):
+            modulus = p  # grows to p^{v_p(n)}
+            while n % (modulus * p) == 0:
+                modulus *= p
+            if (values[n - 1] - values[n // p - 1]) % modulus:
+                return n
+    return None
 
 
 def ghost_by_trial_division(m: ProductExpansion) -> GhostSequence:

@@ -6,8 +6,12 @@ the records, the emitters or the argument plumbing that alters a single
 byte of stdout, stderr or the exit code fails here.
 """
 
+import sys
+from itertools import islice
+
 import pytest
 
+from prodex import congruences, ghost, products
 from prodex.cli import main
 
 NOT_REALIZABLE = "prodex: not realizable at N=2, remainder 1\n"
@@ -69,3 +73,44 @@ def test_cli_bytes(capsys, command, code, plain, json_out, err, fmt):
     captured = capsys.readouterr()
     assert captured.out == (plain if fmt == "plain" else json_out)
     assert captured.err == err
+
+
+WITNESS_ROWS = [row for row in GOLDEN if row[0].split()[0] in ("fermat", "check")]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("command, code, plain, json_out, err", WITNESS_ROWS,
+                         ids=[row[0] for row in WITNESS_ROWS])
+def test_witness_bytes_come_from_the_divisors_of_2p(
+        monkeypatch, capsys, command, code, plain, json_out, err, fmt):
+    # the index-2p identity reads exponents 1, 2, p and 2p of f and of 1/f:
+    # every binding of the full expansion and the full unghost raises, and
+    # each solve of the witness must be flagged at those four indices only
+    full = {products.expand_to_product, ghost.exponents_from_ghost}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full expansion on the witness route")
+
+    for name, module in list(sys.modules.items()):
+        if name == "prodex" or name.startswith("prodex."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in full:
+                    monkeypatch.setattr(module, attr, forbidden)
+    solve = congruences._solve
+    flagged = []
+
+    def recording(values, wanted):
+        wanted = list(islice(wanted, len(values)))
+        flagged.append({k for k, w in enumerate(wanted, start=1) if w})
+        return solve(values, wanted)
+
+    monkeypatch.setattr(congruences, "_solve", recording)
+    congruences._witness.cache_clear()
+    argv = command.split() + (["--format", "json"] if fmt == "json" else [])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == (plain if fmt == "plain" else json_out)
+    assert captured.err == err
+    p = int(argv[argv.index("--p") + 1])
+    assert flagged
+    assert all(indices == {1, 2, p, 2 * p} for indices in flagged)

@@ -12,7 +12,6 @@ from prodex import (
     congruences,
     NotPrimeError,
     expand_to_product,
-    exponents_from_ghost,
     fermat_check,
     fermat_quotient_via_product,
     fermat_witness,
@@ -133,10 +132,11 @@ def test_witness_rejects_a_wrong_reciprocal_coefficient(monkeypatch, d, p, k):
     # corrupted g_k must be caught by the g * f check, before any ghost of
     # 1/f is formed.
     ghosts_formed = []
+    solve = congruences._solve
 
-    def recording(ghost):
-        ghosts_formed.append(ghost)
-        return exponents_from_ghost(ghost)
+    def recording(values, wanted):
+        ghosts_formed.append(values)
+        return solve(values, wanted)
 
     def corrupted(f):
         g = list(reciprocal(f).coeffs)
@@ -144,7 +144,7 @@ def test_witness_rejects_a_wrong_reciprocal_coefficient(monkeypatch, d, p, k):
         return make_series(g)
 
     monkeypatch.setattr(congruences, "reciprocal", corrupted)
-    monkeypatch.setattr(congruences, "exponents_from_ghost", recording)
+    monkeypatch.setattr(congruences, "_solve", recording)
     congruences._witness.cache_clear()
     with pytest.raises(IdentityViolationError, match="1/f times f is not 1"):
         fermat_witness(d, p)
@@ -175,6 +175,15 @@ def test_paper_routes_divide_only_by_sparse_series(monkeypatch, capsys):
         assert divisor_sizes, name
         assert max(divisor_sizes) <= 3, name
     capsys.readouterr()
+
+
+def test_witness_cache_keeps_each_callers_argument_type():
+    # True == 1 and hash(True) == hash(1), so an untyped cache hands the
+    # witness built for d=True to the caller asking for d=1
+    congruences._witness.cache_clear()
+    assert fermat_witness(True, 3).to_json_dict()["d"] == "True"
+    assert fermat_witness(1, 3).to_json_dict()["d"] == "1"
+    assert fermat_witness(True, 3).to_json_dict()["d"] == "True"
 
 
 def test_witness_rejects_even_prime():

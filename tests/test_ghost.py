@@ -1,7 +1,8 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from prodex import (
     GhostSequence,
@@ -15,9 +16,10 @@ from prodex import (
     product_to_series,
     verify_reciprocal_identity,
 )
+from prodex.ghost import _solve
 
 from conftest import expansions
-from oracles import inverse_by_series_division
+from oracles import divisors, inverse_by_series_division
 
 
 def ones(order):
@@ -80,6 +82,58 @@ def test_unghost_early_failure_stays_small():
         tracemalloc.stop()
     assert (info.value.index, info.value.remainder) == (2, 1)
     assert peak < 2**20
+
+
+# --- the solver on a divisor-closed set --------------------------------------
+
+
+@st.composite
+def ghosts_and_targets(draw):
+    """A realizable ghost of order 1..150 and a target N <= order."""
+    m = draw(expansions(max_order=150))
+    return ghost_from_exponents(m), draw(st.integers(1, m.order))
+
+
+def divides(n, order):
+    return [n % k == 0 for k in range(1, order + 1)]
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except NotRealizableError as exc:
+        return ("not realizable", exc.index, exc.remainder)
+
+
+@given(ghosts_and_targets())
+def test_solve_on_divisors_matches_full_unghost(case):
+    ghost, n = case
+    full = exponents_from_ghost(ghost).exponents
+    solved = _solve(ghost.values, divides(n, ghost.order))
+    assert solved == [full[k - 1] if n % k == 0 else 0
+                      for k in range(1, ghost.order + 1)]
+
+
+@given(ghosts_and_targets(), st.data())
+def test_solve_on_divisors_fails_only_where_it_reads(case, data):
+    # moving L_k by 1..k-1 breaks the exact division at k and nowhere before;
+    # half the draws take k among N's divisors, so both branches get cases
+    ghost, n = case
+    assume(ghost.order >= 2)
+    anywhere = st.integers(2, ghost.order)
+    among_divisors = st.sampled_from(divisors(n)[1:]) if n > 1 else anywhere
+    k = data.draw(st.one_of(among_divisors, anywhere), label="k")
+    shift = data.draw(st.integers(1, k - 1), label="shift")
+    values = list(ghost.values)
+    values[k - 1] += shift
+    partial = outcome(_solve, values, divides(n, ghost.order))
+    full = outcome(exponents_from_ghost, GhostSequence(tuple(values)))
+    assert full == ("not realizable", k, shift)
+    if n % k == 0:
+        assert partial == full
+    else:
+        truth = exponents_from_ghost(ghost).exponents
+        assert all(partial[d - 1] == truth[d - 1] for d in divisors(n))
 
 
 # --- the reciprocal-pair identity -------------------------------------------

@@ -35,6 +35,7 @@ from oracles import (
     exponents_by_trial_division,
     family_by_closed_form,
     family_by_dense_expansion,
+    first_dwork_failure,
     ghost_by_trial_division,
     inverse_by_series_division,
     log_derivative_by_division,
@@ -69,10 +70,10 @@ def wide_expansions(max_order=40):
 
 
 @st.composite
-def perturbed_ghosts(draw):
+def perturbed_ghosts(draw, max_order=64):
     """A realizable ghost with one entry moved, so most are not realizable
     and the first failure can lie at any index."""
-    values = list(ghost_from_exponents(draw(expansions())).values)
+    values = list(ghost_from_exponents(draw(expansions(max_order))).values)
     k = draw(st.integers(min_value=0, max_value=len(values) - 1))
     values[k] += draw(wide_ints)
     return GhostSequence(tuple(values))
@@ -133,6 +134,29 @@ def test_unrealizable_ghost_fails_where_oracle_fails(ghost):
     assert unghost_outcome(exponents_from_ghost, ghost) == unghost_outcome(
         exponents_by_trial_division, ghost
     )
+
+
+@given(st.one_of(
+    perturbed_ghosts(max_order=80),
+    st.lists(wide_ints, min_size=1, max_size=80).map(lambda v: GhostSequence(tuple(v))),
+))
+def test_unghost_fails_exactly_where_dwork_congruences_fail(ghost):
+    # an oracle that shares no step with the solver: congruences between
+    # ghost values, checked prime by prime, instead of exact divisions
+    outcome = unghost_outcome(exponents_from_ghost, ghost)
+    failure = first_dwork_failure(ghost.values)
+    if failure is None:
+        assert isinstance(outcome, ProductExpansion)
+    else:
+        assert outcome[:2] == ("not realizable", failure)
+
+
+def test_dwork_congruences_on_known_ghosts():
+    assert first_dwork_failure((1, 3, 4, 7, 6, 12)) is None  # sigma(N)
+    assert first_dwork_failure((1, 2)) == 2  # 2 does not divide 2 - 1
+    # 9 must divide L_9 - L_3: sigma gives 13 - 4, and 14 - 4 breaks it
+    assert first_dwork_failure((1, 3, 4, 7, 6, 12, 8, 15, 13)) is None
+    assert first_dwork_failure((1, 3, 4, 7, 6, 12, 8, 15, 14)) == 9
 
 
 @given(any_expansions)
