@@ -40,6 +40,9 @@ from .series import GhostSequence, TruncatedSeries, _parse_int, _Record
 BUILTIN_DEFAULT_ORDER = 64
 ORDER_ENV_VAR = "PRODEX_DEFAULT_ORDER"
 
+# entries per write of a sequence record: bounds the text held at once
+_CHUNK = 4096
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
@@ -103,7 +106,7 @@ def _read_record(args, kind: type[_Record]) -> _Record:
     if not given:
         raise _UsageError(f"{kind.FIELD} required: one of " + ", ".join(flags))
     if ones:
-        values = [1] * _effective_order(args, intrinsic=None)
+        values = (1,) * _effective_order(args, intrinsic=None)
     else:
         if inline is not None:
             source = f"--{kind.FIELD}"
@@ -111,21 +114,35 @@ def _read_record(args, kind: type[_Record]) -> _Record:
         else:
             source, data = args.input, _load_input_file(args.input)
         try:
-            values = list(kind.from_json_dict(data)[0])
+            values = kind.from_json_dict(data)[0]
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"{source}: bad {kind.FIELD} record: {exc}") from None
+        del data  # one str per value, no longer needed
     intrinsic = len(values) + kind.START - 1
     length = _effective_order(args, intrinsic) + 1 - kind.START
-    return kind(tuple(values[:length] + [0] * (length - len(values))))
+    return kind(values[:length] + (0,) * (length - len(values)))
 
 
 def _emit(record, fmt: str, plain: str | None = None) -> None:
-    """Print a record (or a ready JSON dict) as one JSON line, or as plain
-    text: `plain` if given, else the record's own "k v" lines."""
-    if fmt == "json":
-        print(json.dumps(record if isinstance(record, dict) else record.to_json_dict()))
+    """Write a sequence record, or print a JSON dict or its `plain` text."""
+    if plain is None:
+        _write_record(record, fmt)
     else:
-        print(record.to_plain() if plain is None else plain)
+        print(json.dumps(record) if fmt == "json" else plain)
+
+
+def _write_record(record: _Record, fmt: str) -> None:
+    """The bytes of print(json.dumps(record.to_json_dict())) or
+    print(record.to_plain()), written _CHUNK entries at a time."""
+    values, write = record[0], sys.stdout.write  # per call: redirect_stdout swaps it
+    sep, end = ('", "', '"]}\n') if fmt == "json" else ("\n", "\n")
+    if fmt == "json":
+        write(f'{{"order": {record.order}, "{record.FIELD}": ["')
+    # two writes per chunk, as print makes: text + sep would copy the chunk
+    for lo in range(0, len(values), _CHUNK):
+        write(sep.join(map(str, values[lo : lo + _CHUNK])) if fmt == "json"
+              else record._plain_lines(lo, lo + _CHUNK))
+        write(sep if lo + _CHUNK < len(values) else end)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +182,7 @@ def _cmd_wieferich(args) -> int:
     report = wieferich_scan(args.lo, args.hi, threads=args.threads)
     lines = [f"lo {report.lo}", f"hi {report.hi}",
              f"primes_tested {report.primes_tested}"]
-    _emit(report, args.format,
+    _emit(report.to_json_dict(), args.format,
           "\n".join(lines + [f"hit {p}" for p in report.hits]))
     return EXIT_OK
 

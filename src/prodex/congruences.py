@@ -40,9 +40,9 @@ __all__ = [
     "primes_in_range",
 ]
 
-# Witnesses proving Miller-Rabin deterministic for n < 3.317e24 (> 2^64);
-# Sorenson and Webster, arXiv:1509.00864.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first k bases is proven below psi_k, the least strong
+# pseudoprime to all k (OEIS A014233; arXiv:1509.00864 for k = 12 and 13)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Above this bound primes_in_range switches from segmented sieving to
 # per-candidate Miller-Rabin; isqrt(2^40) = 2^20 keeps base sieves tiny.
@@ -58,12 +58,11 @@ _POOL_WORK = 1 << 18
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the 12 prime bases 2..37.
+    """Miller-Rabin with the shortest proven prefix of the bases 2..41.
 
-    Proven correct only for n < 3.317e24 (Sorenson-Webster, arXiv:1509.00864),
-    which covers every n < 2^64.  Above that bound a True answer means
-    probable prime: no composite passing all 12 bases is known, but none
-    is ruled out."""
+    Proven correct only for n < psi_13 = 3,317,044,064,679,887,385,961,981,
+    which covers every n < 2^64.  From psi_13 on a True answer means
+    probable prime: psi_13 itself passes all 13 bases."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -74,7 +73,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    k = (6 if n < 3_474_749_660_383 else 7 if n < 341_550_071_728_321  # psi_6, psi_7
+         else 9 if n < 3_825_123_056_546_413_051  # psi_9
+         else 12 if n < 318_665_857_834_031_151_167_461 else 13)  # psi_12
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -95,9 +97,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     Its flags take one byte per candidate, which is less than the list it
     returns below e^36 (an 8-byte slot and an int of at least 28 bytes per
     prime, at density about 1/ln hi).  Each candidate above 2^40 gets the
-    Miller-Rabin test of is_prime (proven below 3.317e24), which suits
-    narrow windows of large isolated candidates; a window across 2^40
-    sieves the part below and tests only the part above.
+    Miller-Rabin test of is_prime (proven below psi_13, about 3.317e24),
+    which suits narrow windows of large isolated candidates; a window
+    across 2^40 sieves the part below and tests only the part above.
     """
     lo = max(lo, 2)
     if lo > hi:

@@ -94,7 +94,12 @@ class _Record(_Value):
 
     def to_plain(self) -> str:
         """One "index value" line per entry, indices starting at START."""
-        return "\n".join(f"{k} {v}" for k, v in enumerate(self[0], start=self.START))
+        return self._plain_lines(0, len(self[0]))
+
+    def _plain_lines(self, lo: int, hi: int) -> str:
+        """The lines of the entries at positions lo..hi-1: the one plain rule."""
+        entries = enumerate(self[0][lo:hi], lo + self.START)
+        return "\n".join(f"{k} {v}" for k, v in entries)
 
 
 class TruncatedSeries(_Record, namedtuple("TruncatedSeries", "coeffs")):
