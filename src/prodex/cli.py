@@ -106,21 +106,20 @@ def _read_record(args, kind: type[_Record]) -> _Record:
     if not given:
         raise _UsageError(f"{kind.FIELD} required: one of " + ", ".join(flags))
     if ones:
-        values = (1,) * _effective_order(args, intrinsic=None)
+        return kind((1,) * _effective_order(args, intrinsic=None))
+    if inline is not None:
+        source = f"--{kind.FIELD}"
+        data = {kind.FIELD: [item.strip() for item in inline.split(",")]}
     else:
-        if inline is not None:
-            source = f"--{kind.FIELD}"
-            data = {kind.FIELD: [item.strip() for item in inline.split(",")]}
-        else:
-            source, data = args.input, _load_input_file(args.input)
-        try:
-            values = kind.from_json_dict(data)[0]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"{source}: bad {kind.FIELD} record: {exc}") from None
-        del data  # one str per value, no longer needed
-    intrinsic = len(values) + kind.START - 1
-    length = _effective_order(args, intrinsic) + 1 - kind.START
-    return kind(values[:length] + (0,) * (length - len(values)))
+        source, data = args.input, _load_input_file(args.input)
+    try:
+        # the list is this call's own, so it is parsed in place
+        values = kind._json_values(data, in_place=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _UsageError(f"{source}: bad {kind.FIELD} record: {exc}") from None
+    length = _effective_order(args, len(values) + kind.START - 1) + 1 - kind.START
+    values[length:] = [0] * (length - len(values))  # truncated or zero-padded
+    return kind(tuple(values))
 
 
 def _emit(record, fmt: str, plain: str | None = None) -> None:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import isqrt
 from operator import add, sub
 
@@ -90,30 +91,26 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending.
+    """All primes in [lo, hi], ascending."""
+    return list(_primes(lo, hi))
 
-    Up to 2^40 one segmented sieve over [lo, hi], crossed off by the
-    primes up to isqrt(hi) that this function returns for [2, isqrt(hi)].
-    Its flags take one byte per candidate, which is less than the list it
-    returns below e^36 (an 8-byte slot and an int of at least 28 bytes per
-    prime, at density about 1/ln hi).  Each candidate above 2^40 gets the
-    Miller-Rabin test of is_prime (proven below psi_13, about 3.317e24),
-    which suits narrow windows of large isolated candidates; a window
-    across 2^40 sieves the part below and tests only the part above.
-    """
+
+def _primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes in [lo, hi], ascending, one at a time, with no list held:
+    up to 2^40 a segmented sieve of a byte per candidate, crossed off by the
+    primes this yields for [2, isqrt(hi)]; above it, for narrow windows of
+    large candidates, is_prime's Miller-Rabin (proven below psi_13)."""
     lo = max(lo, 2)
-    if lo > hi:
-        return []
     if hi > _SIEVE_LIMIT:
-        return primes_in_range(lo, _SIEVE_LIMIT) + [
-            n for n in range(max(lo, _SIEVE_LIMIT + 1), hi + 1) if is_prime(n)
-        ]
-    flags = bytearray([1]) * (hi - lo + 1)
-    for p in primes_in_range(2, isqrt(hi)):
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start <= hi:
-            flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
-    return list(compress(range(lo, hi + 1), flags))
+        yield from _primes(lo, _SIEVE_LIMIT)
+        yield from filter(is_prime, range(max(lo, _SIEVE_LIMIT + 1), hi + 1))
+    elif lo <= hi:
+        flags = bytearray([1]) * (hi - lo + 1)
+        for p in _primes(2, isqrt(hi)):
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start <= hi:
+                flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+        yield from compress(range(lo, hi + 1), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +277,9 @@ def is_wieferich(p: int) -> bool:
 
 
 def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[int]]:
-    primes = primes_in_range(*bounds)
-    return len(primes), [p for p in primes if pow(2, p - 1, p * p) == 1]
+    tally = count()  # zip draws from _primes first: tally ends at the prime count
+    hits = [p for p, _ in zip(_primes(*bounds), tally) if pow(2, p - 1, p * p) == 1]
+    return next(tally), hits
 
 
 def _scan_blocks(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:

@@ -57,14 +57,18 @@ class _Record(_Value):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if len(self[0]) == 0:
-            raise ValueError(f"{cls.__name__} needs at least one value")
+        cls._require_values(self[0])
         for v in self[0]:
             if not isinstance(v, int):
                 raise TypeError(
                     f"{cls.FIELD} must be ints, got {type(v).__name__}: {v!r}"
                 )
         return self
+
+    @classmethod
+    def _require_values(cls, values) -> None:
+        if len(values) == 0:
+            raise ValueError(f"{cls.__name__} needs at least one value")
 
     @classmethod
     def _make(cls, iterable) -> "_Record":
@@ -82,15 +86,24 @@ class _Record(_Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "_Record":
+        return cls(tuple(cls._json_values(data, in_place=False)))
+
+    @classmethod
+    def _json_values(cls, data: dict, in_place: bool) -> list[int]:
+        """data[FIELD] as ints, checked in order: a list, its first bad item,
+        at least one value, data's order field.  in_place parses data's own
+        list, so each decoded str is freed as its int is made."""
         raw = data[cls.FIELD]
         if not isinstance(raw, list):
             raise TypeError(f"{cls.FIELD} must be a JSON list")
-        record = cls(tuple(_parse_int(v) for v in raw))
-        if "order" in data and _parse_int(data["order"]) != record.order:
-            raise ValueError(
-                f"order field {data['order']} does not match {len(raw)} {cls.FIELD}"
-            )
-        return record
+        values = raw if in_place else raw[:]
+        for i, item in enumerate(values):
+            values[i] = _parse_int(item)
+        cls._require_values(values)
+        if "order" in data and _parse_int(data["order"]) != len(values) + cls.START - 1:
+            raise ValueError(f"order field {data['order']} does not match "
+                             f"{len(values)} {cls.FIELD}")
+        return values
 
     def to_plain(self) -> str:
         """One "index value" line per entry, indices starting at START."""

@@ -445,6 +445,30 @@ def test_scan_rejects_bad_range():
         wieferich_scan(1, 10)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (2**20 - 1000, 2**20 + 1000), (3, 2**20 + 3),
+    (2**40 - 3000, 2**40 + 500), (2**40 - 2**17, 2**40 + 2**13),
+], ids=["across-2^20", "two-blocks", "across-2^40", "two-blocks-across-2^40"])
+def test_scan_counts_and_hits_match_primes_in_range(pool_sizes, lo, hi):
+    primes = primes_in_range(lo, hi)
+    hits = tuple(p for p in primes if is_wieferich(p))
+    for threads in (1, 2):
+        report = wieferich_scan(lo, hi, threads=threads)
+        assert (report.primes_tested, report.hits) == (len(primes), hits)
+
+
+def test_scan_holds_no_list_of_a_blocks_primes():
+    # the block at 2 has 82,025 primes: as a list, about 3 MB with its ints
+    tracemalloc.start()
+    try:
+        report = wieferich_scan(2, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.hits == (1093, 3511)
+    assert peak < 3e6, f"peak {peak} bytes"
+
+
 # --- partition numbers -------------------------------------------------------
 
 
