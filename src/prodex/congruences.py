@@ -19,12 +19,12 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress, count
 from math import isqrt
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .errors import IdentityViolationError, NotPrimeError
-from .ghost import _solve, exponents_from_ghost
-from .series import (GhostSequence, ProductExpansion, TruncatedSeries, _Record,
-                     _Value, make_series, mul, neg_x_log_derivative, reciprocal)
+from .ghost import _solve_divisors, exponents_from_ghost
+from .series import (GhostSequence, ProductExpansion, TruncatedSeries, _divide,
+                     _Record, _Value, make_series, mul, neg_x_log_derivative)
 
 __all__ = [
     "FermatWitness",
@@ -118,12 +118,12 @@ def _primes(lo: int, hi: int) -> Iterator[int]:
 
 
 def rational_family_series(d: int, order: int) -> TruncatedSeries:
-    """Truncated series of (1-(d+1)x)/(1-dx), the numerator times 1/(1-dx),
-    checked by multiplying back with (1-dx); O(order) for two-term factors."""
+    """Truncated series of (1-(d+1)x)/(1-dx), one division by 1-dx, checked
+    by multiplying back with (1-dx); O(order) for two-term factors."""
     if order < 1:
         raise ValueError("order must be >= 1")
     num, den = (make_series([1, -a] + [0] * (order - 1)) for a in (d + 1, d))
-    f = mul(num, reciprocal(den))
+    f = TruncatedSeries(tuple(_divide(den.coeffs, list(num.coeffs))))
     if mul(den, f) != num:
         raise IdentityViolationError(
             f"(1-dx) * family(d={d}) failed to telescope to 1-(d+1)x"
@@ -188,24 +188,38 @@ class FermatWitness(_Value, namedtuple("FermatWitness",
         return {k: str(v) for k, v in self._asdict().items()}
 
 
+def _lucas(d: int, n: int) -> tuple[int, int]:
+    """(U_n, V_n), P = 1 and Q = -d, by the exact ladder (Joye-Quisquater 1996)."""
+    u, v, q = 0, 2, 1  # U_k, V_k and Q^k at k = 0
+    for bit in bin(n)[2:]:
+        u, v, q = u * v, v * v - 2 * q, q * q  # k -> 2k
+        if bit == "1":  # k -> k+1: 2U = U_k + V_k, 2V = (1+4d) U_k + V_k
+            u, v, q = (u + v) // 2, ((1 + 4 * d) * u + v) // 2, -d * q
+    return u, v
+
+
 # Bounded so a long-running process cannot grow it without limit.  A sweep
 # of fermat_check over a = 1..50 at one p reuses only that p's 49 witnesses.
 @lru_cache(maxsize=1024, typed=True)
 def _witness(d: int, p: int) -> FermatWitness:
-    f = make_series([1, -1, -d] + [0] * (2 * p - 2))
-    # n must come from the coefficients of 1/f.  Taking it by negating m's
-    # ghost would make n a function of m by construction, and the index-2p
-    # identity below would then hold whatever the expansion computed.
-    g = reciprocal(f).coeffs
-    # its ghost -x g'/g is -x g' * f only if g * f = 1, which also pins g_0
-    if mul(f, make_series(g)).coeffs != (1,) + (0,) * (2 * p):
-        raise IdentityViolationError(f"1/f times f is not 1 at d={d}, p={p}")
-    ghost = mul(f, make_series([-k * gk for k, gk in enumerate(g)])).coeffs[1:]
-    lattice = [2 * p % k == 0 for k in range(1, 2 * p + 1)]
-    m = _solve(neg_x_log_derivative(f).values, lattice)
-    n = _solve(ghost, lattice)
-    m_p, m_2p = m[p - 1], m[2 * p - 1]
-    n_p, n_2p = n[p - 1], n[2 * p - 1]
+    # f = 1 - x - d x^2 has the ghost V_k, its roots' power sums, and 1/f the
+    # coefficients g_k = U_(k+1); the identity reads both at k | 2p only
+    m_ghost, n_ghost = {}, {}
+    for k in (1, 2, p, 2 * p):
+        # n must come from the coefficients of 1/f.  Taking it by negating m's
+        # ghost would make n a function of m by construction, and the index-2p
+        # identity below would then hold whatever the expansion computed.
+        (g_k2, _), (g_k1, v_k), (g_k, _) = (_lucas(d, j) for j in (k - 1, k, k + 1))
+        # 1/f's ghost -x g'/g is -x g' * f only if g * f = 1, here at x^k
+        if g_k != g_k1 + d * g_k2:
+            raise IdentityViolationError(f"1/f times f is not 1 at d={d}, p={p}")
+        # V^2 - D U^2 = 4Q^k, D = 1+4d, ties the ladders, neither derived from the other
+        if v_k * v_k - (1 + 4 * d) * g_k1 * g_k1 != 4 * (-d) ** k:
+            raise IdentityViolationError(f"V^2 - (1+4d)U^2 != 4(-d)^k at d={d}, p={p}")
+        m_ghost[k] = v_k
+        n_ghost[k] = -k * g_k + (k - 1) * g_k1 + d * (k - 2) * g_k2
+    m_p, m_2p = itemgetter(p, 2 * p)(_solve_divisors(m_ghost))
+    n_p, n_2p = itemgetter(p, 2 * p)(_solve_divisors(n_ghost))
     lhs = 2 * p * m_2p + p * m_p * m_p + 2 * d ** p + 1
     rhs = -2 * p * n_2p - p * n_p * n_p + 2 * (d + 1) ** p - 1
     if lhs != rhs:

@@ -7,14 +7,12 @@ factor by factor gives
     L_N = sum over divisors s of N of  m_{N/s}^s * (N/s),
 
 which is the ghost map of big Witt vectors.  Both directions run on one
-table-free kernel, _divisor_sums, and one solver, _solve, inverts it: over
-all indices for the product layer, over a divisor-closed set for the witness.
+table-free kernel, _divisor_sums, and exponents_from_ghost inverts it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import compress, count, repeat
+from collections.abc import Iterator, Sequence
 
 from .errors import NotRealizableError
 from .series import GhostSequence, ProductExpansion, _require_same_order
@@ -64,29 +62,35 @@ def ghost_from_exponents(m: ProductExpansion) -> GhostSequence:
     ))
 
 
-def _solve(values: Sequence[int], wanted: Iterable[bool]) -> list[int]:
-    """Solve, increasing N, each m_N whose flag in `wanted` is true (a set
-    closed under divisors).  Only the s = 1 term holds m_N, as N * m_N:
+def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
+    """Solve m_1..m_N, increasing N.  Only the s = 1 term holds m_N, as N * m_N:
 
         m_N = (L_N - sum_{s|N, s>1} m_{N/s}^s * (N/s)) / N.
 
-    Other entries stay 0, and _divisor_sums skips their powers.  A nonzero
-    remainder means no integer exponent sequence has this ghost, and
-    NotRealizableError reports the failing index and remainder.
-    """
-    exps = [0] * len(values)
-    sums = _divisor_sums(exps, len(values))
-    for n, value, partial in compress(zip(count(1), values, sums), wanted):
+    A nonzero remainder means no integer exponent sequence has this ghost,
+    and NotRealizableError reports the failing index and remainder."""
+    exps = [0] * ghost.order
+    sums = _divisor_sums(exps, ghost.order)
+    for n, (value, partial) in enumerate(zip(ghost.values, sums), start=1):
         mn, remainder = divmod(value - partial, n)
         if remainder:
             raise NotRealizableError(n, remainder)
         exps[n - 1] = mn
+    del sums  # frees the kernel's last block of partial sums before the tuple copy
+    return ProductExpansion(tuple(exps))
+
+
+def _solve_divisors(ghost: dict[int, int]) -> dict[int, int]:
+    """exponents_from_ghost's solve at only the keys of `ghost`, a set closed
+    under divisors, each m_N in increasing N over the keys q dividing N."""
+    exps: dict[int, int] = {}
+    for n in sorted(ghost):
+        partial = sum(q * mq ** (n // q) for q, mq in exps.items() if n % q == 0)
+        mn, remainder = divmod(ghost[n] - partial, n)
+        if remainder:
+            raise NotRealizableError(n, remainder)
+        exps[n] = mn
     return exps
-
-
-def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
-    """m_1..m_N by _solve at every index; NotRealizableError if inexact."""
-    return ProductExpansion(tuple(_solve(ghost.values, repeat(True))))
 
 
 def verify_reciprocal_identity(m: ProductExpansion, n: ProductExpansion) -> list[bool]:

@@ -7,7 +7,6 @@ byte of stdout, stderr or the exit code fails here.
 """
 
 import sys
-from itertools import islice
 
 import pytest
 
@@ -85,7 +84,7 @@ def test_witness_bytes_come_from_the_divisors_of_2p(
         monkeypatch, capsys, command, code, plain, json_out, err, fmt):
     # the index-2p identity reads exponents 1, 2, p and 2p of f and of 1/f:
     # every binding of the full expansion and the full unghost raises, and
-    # each solve of the witness must be flagged at those four indices only
+    # each solve of the witness must be given those four indices only
     full = {products.expand_to_product, ghost.exponents_from_ghost}
 
     def forbidden(*args, **kwargs):
@@ -96,15 +95,14 @@ def test_witness_bytes_come_from_the_divisors_of_2p(
             for attr, value in list(vars(module).items()):
                 if callable(value) and value in full:
                     monkeypatch.setattr(module, attr, forbidden)
-    solve = congruences._solve
-    flagged = []
+    solve = congruences._solve_divisors
+    solved = []
 
-    def recording(values, wanted):
-        wanted = list(islice(wanted, len(values)))
-        flagged.append({k for k, w in enumerate(wanted, start=1) if w})
-        return solve(values, wanted)
+    def recording(ghost):
+        solved.append(set(ghost))
+        return solve(ghost)
 
-    monkeypatch.setattr(congruences, "_solve", recording)
+    monkeypatch.setattr(congruences, "_solve_divisors", recording)
     congruences._witness.cache_clear()
     argv = command.split() + (["--format", "json"] if fmt == "json" else [])
     assert main(argv) == code
@@ -112,5 +110,5 @@ def test_witness_bytes_come_from_the_divisors_of_2p(
     assert captured.out == (plain if fmt == "plain" else json_out)
     assert captured.err == err
     p = int(argv[argv.index("--p") + 1])
-    assert flagged
-    assert all(indices == {1, 2, p, 2 * p} for indices in flagged)
+    assert solved
+    assert all(indices == {1, 2, p, 2 * p} for indices in solved)

@@ -2,6 +2,8 @@ import concurrent.futures
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -123,37 +125,120 @@ def test_witness_matches_oracle_expansion(d, p):
     assert (w.n_p, w.n_2p) == (n[p - 1], n[2 * p - 1])
 
 
+WITNESS_PAIRS = [(1, 5), (2, 7), (3, 13), (1, 31)]
+
+
+def ladder_indices_read(p):
+    """U is read at k - 1, k and k + 1 for each divisor k of 2p."""
+    return {k + i for k in (1, 2, p, 2 * p) for i in (-1, 0, 1)}
+
+
+def corrupt_ladder(monkeypatch, index, part):
+    """Add 1 to U (part 0) or V (part 1) wherever _lucas returns `index`;
+    return the ladder indices asked for and the ghosts passed to a solve."""
+    lucas, solve = congruences._lucas, congruences._solve_divisors
+    asked, ghosts_solved = [], []
+
+    def corrupted(d, n):
+        asked.append(n)
+        uv = list(lucas(d, n))
+        if n == index:
+            uv[part] += 1
+        return tuple(uv)
+
+    def recording(ghost):
+        ghosts_solved.append(ghost)
+        return solve(ghost)
+
+    monkeypatch.setattr(congruences, "_lucas", corrupted)
+    monkeypatch.setattr(congruences, "_solve_divisors", recording)
+    congruences._witness.cache_clear()
+    return asked, ghosts_solved
+
+
 @pytest.mark.parametrize("d, p, k", [
-    (d, p, k) for d, p in [(1, 5), (2, 7), (3, 13), (1, 31)] for k in range(2 * p + 1)
+    (d, p, k) for d, p in WITNESS_PAIRS for k in range(2 * p + 2)
 ])
 def test_witness_rejects_a_wrong_reciprocal_coefficient(monkeypatch, d, p, k):
-    # n is read from the coefficients g of 1/f through the ghost -x g' * f,
-    # which never reads g_0 and is 1/f's ghost only if g * f = 1.  So a
-    # corrupted g_k must be caught by the g * f check, before any ghost of
-    # 1/f is formed.
-    ghosts_formed = []
-    solve = congruences._solve
+    # n is read from the coefficients g_j = U_(j+1) of 1/f through the
+    # ghost -x g' * f, which is 1/f's ghost only if g * f = 1.  So a
+    # corrupted U_k the witness reads must be caught by the g * f check,
+    # before any ghost is solved; an index it does not read is never asked
+    # of the ladder and leaves the witness as it is.
+    expected = fermat_witness(d, p)
+    asked, ghosts_solved = corrupt_ladder(monkeypatch, k, 0)
+    if k in ladder_indices_read(p):
+        with pytest.raises(IdentityViolationError, match="1/f times f is not 1"):
+            fermat_witness(d, p)
+        assert ghosts_solved == []
+    else:
+        assert fermat_witness(d, p) == expected
+        assert k not in asked
 
-    def recording(values, wanted):
-        ghosts_formed.append(values)
-        return solve(values, wanted)
 
-    def corrupted(f):
-        g = list(reciprocal(f).coeffs)
-        g[k] += 1
-        return make_series(g)
-
-    monkeypatch.setattr(congruences, "reciprocal", corrupted)
-    monkeypatch.setattr(congruences, "_solve", recording)
-    congruences._witness.cache_clear()
-    with pytest.raises(IdentityViolationError, match="1/f times f is not 1"):
+@pytest.mark.parametrize("d, p, k", [
+    (d, p, k) for d, p in WITNESS_PAIRS for k in (1, 2, p, 2 * p)
+])
+def test_witness_rejects_a_wrong_power_sum(monkeypatch, d, p, k):
+    # m is read from f's ghost V_k, which no recurrence of U checks; the
+    # identity V_k^2 - (1+4d) U_k^2 = 4(-d)^k ties it to the other ladder
+    _, ghosts_solved = corrupt_ladder(monkeypatch, k, 1)
+    with pytest.raises(IdentityViolationError, match=r"V\^2 - \(1\+4d\)U\^2"):
         fermat_witness(d, p)
-    assert ghosts_formed == []
+    assert ghosts_solved == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 10**30])
+def test_lucas_ladder_matches_the_plain_recurrences(d):
+    # U_(n+1) = U_n + d U_(n-1) from (0, 1), V likewise from (2, 1)
+    u, v = [0, 1], [2, 1]
+    for n in range(2, 301):
+        u.append(u[n - 1] + d * u[n - 2])
+        v.append(v[n - 1] + d * v[n - 2])
+    assert [congruences._lucas(d, n) for n in range(301)] == list(zip(u, v))
+
+
+def test_witness_memory_is_linear_in_p():
+    # the ghosts at 1, 2, p and 2p hold O(p) bits; building all 2p
+    # coefficients of 1/f held about 56 MB here
+    congruences._witness.cache_clear()
+    tracemalloc.start()
+    try:
+        fermat_witness(1, 10007)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_fermat_at_p_50021_runs_in_a_gigabyte():
+    # an O(p^2)-bit witness runs out of a 1 GB address space at this p
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "prodex", "fermat", "--d", "1", "--p", "50021",
+         "--format", "json"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    quotient = json.loads(proc.stdout)["quotient"]  # 15,054 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(quotient) * 50021 == 2**50021 - 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_paper_routes_divide_only_by_sparse_series(monkeypatch, capsys):
-    # the family and the witness come from the ghosts of their two- and
-    # three-term factors; a dense divisor means an O(N^2) log-derivative
+    # the family comes from the ghosts of its two-term factors; a dense
+    # divisor means an O(N^2) log-derivative.  The witness reads Lucas
+    # ladders and divides no series at all.
     divide = series._divide
     divisor_sizes = []
 
@@ -162,9 +247,11 @@ def test_paper_routes_divide_only_by_sparse_series(monkeypatch, capsys):
         return divide(c, rhs)
 
     monkeypatch.setattr(series, "_divide", recording)
+    monkeypatch.setattr(congruences, "_divide", recording)
     congruences._witness.cache_clear()
+    fermat_witness(2, 31)
+    assert divisor_sizes == []
     routes = {
-        "fermat_witness": lambda: fermat_witness(2, 31),
         "fermat_quotient_via_product": lambda: fermat_quotient_via_product(2, 31),
         "family --expand": lambda: main(
             ["family", "--d", "2", "--order", "300", "--expand"]),

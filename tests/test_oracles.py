@@ -267,7 +267,7 @@ def test_partition_route_calls_no_public_series_products_or_ghost_function(
     # each is bound at least in its own module and in the package
     assert replaced >= 2 * len(public)
     with pytest.raises(AssertionError):
-        congruences.reciprocal(make_series([1, 1]))
+        congruences.make_series([1, 1])
     expected = partitions_by_pentagonal_recurrence(300)
     assert partition_numbers(300).values == expected
     assert main(["partitions", "--order", "40"]) == 0
