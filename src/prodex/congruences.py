@@ -131,12 +131,17 @@ def rational_family_series(d: int, order: int) -> TruncatedSeries:
     return f
 
 
-def _family_exponents(d: int, order: int) -> ProductExpansion:
-    """Exponents of (1-(d+1)x)/(1-dx) to `order` >= 1 from the O(N) ghosts of
+def _family_ghost(d: int, order: int) -> GhostSequence:
+    """Ghost of (1-(d+1)x)/(1-dx) to `order` >= 1 from the O(N) ghosts of
     its two-term factors, ghost(1-(d+1)x) - ghost(1-dx); no dense series."""
     num, den = (neg_x_log_derivative(make_series([1, -a] + [0] * (order - 1))).values
                 for a in (d + 1, d))
-    return exponents_from_ghost(GhostSequence(tuple(u - v for u, v in zip(num, den))))
+    return GhostSequence(tuple(u - v for u, v in zip(num, den)))
+
+
+def _family_exponents(d: int, order: int) -> ProductExpansion:
+    """Every exponent of the family to `order`: the full unghost of its ghost."""
+    return exponents_from_ghost(_family_ghost(d, order))
 
 
 def _require_prime(p: int) -> None:
@@ -155,14 +160,13 @@ def _require_quotient_args(d: int, p: int) -> None:
 
 
 def fermat_quotient_via_product(d: int, p: int) -> int:
-    """The Fermat quotient ((d+1)^p - d^p - 1)/p, read off the product
-    expansion of the rational family rather than computed by division.
-
-    The expansion exponent at index p is checked against the closed form
-    by independent big-integer evaluation before being returned.
-    """
+    """The Fermat quotient ((d+1)^p - d^p - 1)/p as the family's product
+    exponent m_p, solved over the divisors {1, p} from the ghosts L_1 and
+    L_p of the division route, checked against the closed form."""
     _require_quotient_args(d, p)
-    quotient = _family_exponents(d, p).exponents[p - 1]
+    # L_p from the divisions, not from (d+1)^p - d^p: the check stays independent
+    ghost = _family_ghost(d, p).values
+    quotient = _solve_divisors({1: ghost[0], p: ghost[p - 1]})[p]
     if quotient * p != (d + 1) ** p - d ** p - 1:
         raise IdentityViolationError(
             f"family exponent at p={p}, d={d} disagrees with the closed form"
@@ -220,8 +224,9 @@ def _witness(d: int, p: int) -> FermatWitness:
         n_ghost[k] = -k * g_k + (k - 1) * g_k1 + d * (k - 2) * g_k2
     m_p, m_2p = itemgetter(p, 2 * p)(_solve_divisors(m_ghost))
     n_p, n_2p = itemgetter(p, 2 * p)(_solve_divisors(n_ghost))
-    lhs = 2 * p * m_2p + p * m_p * m_p + 2 * d ** p + 1
-    rhs = -2 * p * n_2p - p * n_p * n_p + 2 * (d + 1) ** p - 1
+    d_p, d1_p = d ** p, (d + 1) ** p  # each closed form once, for both checks
+    lhs = 2 * p * m_2p + p * m_p * m_p + 2 * d_p + 1
+    rhs = -2 * p * n_2p - p * n_p * n_p + 2 * d1_p - 1
     if lhs != rhs:
         raise IdentityViolationError(
             f"index-2p identity failed to balance at d={d}, p={p}: {lhs} != {rhs}"
@@ -231,7 +236,7 @@ def _witness(d: int, p: int) -> FermatWitness:
             f"odd-index negation failed at d={d}, p={p}: m_p={m_p}, n_p={n_p}"
         )
     quotient = m_2p + n_2p + m_p * m_p
-    if quotient * p != (d + 1) ** p - d ** p - 1:
+    if quotient * p != d1_p - d_p - 1:
         raise IdentityViolationError(
             f"witness quotient at d={d}, p={p} disagrees with the closed form"
         )

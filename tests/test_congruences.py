@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 from prodex import (
+    GhostSequence,
     IdentityViolationError,
     congruences,
     NotPrimeError,
@@ -17,11 +18,13 @@ from prodex import (
     fermat_check,
     fermat_quotient_via_product,
     fermat_witness,
+    ghost,
     is_prime,
     is_wieferich,
     make_series,
     partition_numbers,
     primes_in_range,
+    products,
     rational_family_series,
     reciprocal,
     series,
@@ -74,6 +77,57 @@ def test_quotient_rejects_bad_arguments():
         fermat_quotient_via_product(1, 9)
     with pytest.raises(ValueError):
         fermat_quotient_via_product(0, 5)
+
+
+@pytest.mark.parametrize("d, p", [(1, 3), (2, 31), (7, 101), (50, 593)])
+def test_quotient_solves_only_the_divisors_of_p(monkeypatch, d, p):
+    # the ghost identity at a prime index holds only m_1 and m_p: every
+    # binding of the full expansion and the full unghost raises, and the
+    # one solve of the quotient must be given the keys 1 and p alone
+    full = {products.expand_to_product, ghost.exponents_from_ghost}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full unghost on the quotient route")
+
+    for name, module in list(sys.modules.items()):
+        if name == "prodex" or name.startswith("prodex."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in full:
+                    monkeypatch.setattr(module, attr, forbidden)
+    solve = congruences._solve_divisors
+    solved = []
+
+    def recording(values):
+        solved.append(set(values))
+        return solve(values)
+
+    monkeypatch.setattr(congruences, "_solve_divisors", recording)
+    assert fermat_quotient_via_product(d, p) * p == (d + 1) ** p - d**p - 1
+    assert solved == [{1, p}]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 50])
+def test_quotient_equals_the_full_expansion_at_every_odd_prime_below_600(d):
+    # the full unghost of the same ghost is the oracle of the divisor solve
+    for p in primes_in_range(3, 599):
+        expected = congruences._family_exponents(d, p).exponents[p - 1]
+        assert fermat_quotient_via_product(d, p) == expected, p
+
+
+@pytest.mark.parametrize("d, p", [(1, 3), (2, 31), (7, 101)])
+def test_quotient_check_catches_a_wrong_ghost_at_p(monkeypatch, d, p):
+    # L_p + p still solves to an integer m_p, one too large; the closed-form
+    # check must see the value the division route produced and reject it
+    family_ghost = congruences._family_ghost
+
+    def shifted(d, order):
+        values = list(family_ghost(d, order).values)
+        values[p - 1] += p
+        return GhostSequence(tuple(values))
+
+    monkeypatch.setattr(congruences, "_family_ghost", shifted)
+    with pytest.raises(IdentityViolationError, match="disagrees with the closed form"):
+        fermat_quotient_via_product(d, p)
 
 
 # --- the index-2p witness ----------------------------------------------------
