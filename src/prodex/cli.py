@@ -122,15 +122,12 @@ def _read_record(args, kind: type[_Record]) -> _Record:
     return kind(tuple(values))
 
 
-def _emit(record, fmt: str, plain: str | None = None) -> None:
-    """Write a sequence record, or print a JSON dict or its `plain` text."""
-    if plain is None:
-        _write_record(record, fmt)
-    else:
-        print(json.dumps(record) if fmt == "json" else plain)
+def _print(fields: dict, fmt: str, plain: str) -> None:
+    """Print a JSON dict, or its `plain` text."""
+    print(json.dumps(fields) if fmt == "json" else plain)
 
 
-def _write_record(record: _Record, fmt: str) -> None:
+def _emit(record: _Record, fmt: str) -> None:
     """The bytes of print(json.dumps(record.to_json_dict())) or
     print(record.to_plain()), written _CHUNK entries at a time."""
     values, write = record[0], sys.stdout.write  # per call: redirect_stdout swaps it
@@ -166,23 +163,21 @@ def _cmd_family(args) -> int:
 def _cmd_fermat(args) -> int:
     fields = fermat_witness(args.d, args.p).to_json_dict()
     lines = [f"{k} {v}" for k, v in fields.items()] + ["identity OK"]
-    _emit(fields, args.format, "\n".join(lines))
+    _print(fields, args.format, "\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     ok = fermat_check(args.a, args.p)
-    _emit({"a": str(args.a), "p": str(args.p), "ok": ok}, args.format,
-          f"a {args.a}\np {args.p}\nok {'true' if ok else 'false'}")
+    _print({"a": str(args.a), "p": str(args.p), "ok": ok}, args.format,
+           f"a {args.a}\np {args.p}\nok {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_MATH
 
 
 def _cmd_wieferich(args) -> int:
-    report = wieferich_scan(args.lo, args.hi, threads=args.threads)
-    lines = [f"lo {report.lo}", f"hi {report.hi}",
-             f"primes_tested {report.primes_tested}"]
-    _emit(report.to_json_dict(), args.format,
-          "\n".join(lines + [f"hit {p}" for p in report.hits]))
+    fields = wieferich_scan(args.lo, args.hi, threads=args.threads).to_json_dict()
+    lines = [f"{k} {v}" for k, v in fields.items() if k != "hits"]
+    _print(fields, args.format, "\n".join(lines + [f"hit {p}" for p in fields["hits"]]))
     return EXIT_OK
 
 
@@ -202,9 +197,9 @@ def _cmd_partitions(args) -> int:
     equal = via.coeffs == table.values
     lines = [f"{k} {a} {b}" + ("" if a == b else "  DIFFERS")
              for k, (a, b) in enumerate(zip(table.values, via.coeffs))]
-    _emit({**table.to_json_dict(), "via_product": [str(c) for c in via.coeffs],
-           "equal": equal}, args.format,
-          "\n".join(lines + [f"equal {'true' if equal else 'false'}"]))
+    _print({**table.to_json_dict(), "via_product": [str(c) for c in via.coeffs],
+            "equal": equal}, args.format,
+           "\n".join(lines + [f"equal {'true' if equal else 'false'}"]))
     return EXIT_OK if equal else EXIT_MATH
 
 

@@ -24,7 +24,7 @@ from operator import add, itemgetter, sub
 from .errors import IdentityViolationError, NotPrimeError
 from .ghost import _solve_divisors, exponents_from_ghost
 from .series import (GhostSequence, ProductExpansion, TruncatedSeries, _divide,
-                     _Record, _Value, make_series, mul, neg_x_log_derivative)
+                     _Record, _Value, make_series, mul)
 
 __all__ = [
     "FermatWitness",
@@ -131,17 +131,12 @@ def rational_family_series(d: int, order: int) -> TruncatedSeries:
     return f
 
 
-def _family_ghost(d: int, order: int) -> GhostSequence:
-    """Ghost of (1-(d+1)x)/(1-dx) to `order` >= 1 from the O(N) ghosts of
-    its two-term factors, ghost(1-(d+1)x) - ghost(1-dx); no dense series."""
-    num, den = (neg_x_log_derivative(make_series([1, -a] + [0] * (order - 1))).values
-                for a in (d + 1, d))
-    return GhostSequence(tuple(u - v for u, v in zip(num, den)))
-
-
 def _family_exponents(d: int, order: int) -> ProductExpansion:
-    """Every exponent of the family to `order`: the full unghost of its ghost."""
-    return exponents_from_ghost(_family_ghost(d, order))
+    """Every exponent of the family to `order` >= 1: the full unghost of its
+    ghost x/((1-(d+1)x)(1-dx)) = sum U_N(2d+1, d(d+1)) x^N, read from one
+    division by the three-term product 1 - (2d+1)x + d(d+1)x^2."""
+    u = _divide((1, -2 * d - 1, d * (d + 1)) + (0,) * order, [1] + [0] * (order - 1))
+    return exponents_from_ghost(GhostSequence(tuple(u)))  # U_1..U_order
 
 
 def _require_prime(p: int) -> None:
@@ -161,12 +156,12 @@ def _require_quotient_args(d: int, p: int) -> None:
 
 def fermat_quotient_via_product(d: int, p: int) -> int:
     """The Fermat quotient ((d+1)^p - d^p - 1)/p as the family's product
-    exponent m_p, solved over the divisors {1, p} from the ghosts L_1 and
-    L_p of the division route, checked against the closed form."""
+    exponent m_p, solved over the divisors {1, p} from the ghosts U_1, U_p of
+    the ladder at (2d+1, d(d+1)), O(p) bits, checked against the closed form."""
     _require_quotient_args(d, p)
-    # L_p from the divisions, not from (d+1)^p - d^p: the check stays independent
-    ghost = _family_ghost(d, p).values
-    quotient = _solve_divisors({1: ghost[0], p: ghost[p - 1]})[p]
+    # L_p from the ladder, not from (d+1)^p - d^p: the check stays independent
+    ghost = {k: _lucas(2 * d + 1, d * (d + 1), k)[0] for k in (1, p)}
+    quotient = _solve_divisors(ghost)[p]
     if quotient * p != (d + 1) ** p - d ** p - 1:
         raise IdentityViolationError(
             f"family exponent at p={p}, d={d} disagrees with the closed form"
@@ -192,13 +187,15 @@ class FermatWitness(_Value, namedtuple("FermatWitness",
         return {k: str(v) for k, v in self._asdict().items()}
 
 
-def _lucas(d: int, n: int) -> tuple[int, int]:
-    """(U_n, V_n), P = 1 and Q = -d, by the exact ladder (Joye-Quisquater 1996)."""
+def _lucas(P: int, Q: int, n: int) -> tuple[int, int]:
+    """(U_n, V_n) of X_(k+1) = P X_k - Q X_(k-1), U from (0, 1) and V from
+    (2, P), by the exact ladder (Joye-Quisquater 1996)."""
     u, v, q = 0, 2, 1  # U_k, V_k and Q^k at k = 0
+    D = P * P - 4 * Q
     for bit in bin(n)[2:]:
         u, v, q = u * v, v * v - 2 * q, q * q  # k -> 2k
-        if bit == "1":  # k -> k+1: 2U = U_k + V_k, 2V = (1+4d) U_k + V_k
-            u, v, q = (u + v) // 2, ((1 + 4 * d) * u + v) // 2, -d * q
+        if bit == "1":  # k -> k+1: 2U = P U_k + V_k, 2V = D U_k + P V_k
+            u, v, q = (P * u + v) // 2, (D * u + P * v) // 2, Q * q
     return u, v
 
 
@@ -213,7 +210,7 @@ def _witness(d: int, p: int) -> FermatWitness:
         # n must come from the coefficients of 1/f.  Taking it by negating m's
         # ghost would make n a function of m by construction, and the index-2p
         # identity below would then hold whatever the expansion computed.
-        (g_k2, _), (g_k1, v_k), (g_k, _) = (_lucas(d, j) for j in (k - 1, k, k + 1))
+        (g_k2, _), (g_k1, v_k), (g_k, _) = (_lucas(1, -d, j) for j in (k - 1, k, k + 1))
         # 1/f's ghost -x g'/g is -x g' * f only if g * f = 1, here at x^k
         if g_k != g_k1 + d * g_k2:
             raise IdentityViolationError(f"1/f times f is not 1 at d={d}, p={p}")

@@ -10,7 +10,6 @@ import pytest
 import sympy
 
 from prodex import (
-    GhostSequence,
     IdentityViolationError,
     congruences,
     NotPrimeError,
@@ -114,18 +113,30 @@ def test_quotient_equals_the_full_expansion_at_every_odd_prime_below_600(d):
         assert fermat_quotient_via_product(d, p) == expected, p
 
 
+def test_quotient_memory_is_linear_in_p():
+    # U_p of the ladder holds O(p) bits; the family's whole ghost to order p,
+    # O(p^2) bits, held 13.5 MiB already at p = 10007
+    tracemalloc.start()
+    try:
+        fermat_quotient_via_product(1, 50021)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("d, p", [(1, 3), (2, 31), (7, 101)])
 def test_quotient_check_catches_a_wrong_ghost_at_p(monkeypatch, d, p):
     # L_p + p still solves to an integer m_p, one too large; the closed-form
-    # check must see the value the division route produced and reject it
-    family_ghost = congruences._family_ghost
+    # check must see the value the ladder produced and reject it.  An L_p
+    # taken from the closed form would never see the shift.
+    lucas = congruences._lucas
 
-    def shifted(d, order):
-        values = list(family_ghost(d, order).values)
-        values[p - 1] += p
-        return GhostSequence(tuple(values))
+    def shifted(P, Q, n):
+        u, v = lucas(P, Q, n)
+        return (u + p, v) if (P, Q, n) == (2 * d + 1, d * (d + 1), p) else (u, v)
 
-    monkeypatch.setattr(congruences, "_family_ghost", shifted)
+    monkeypatch.setattr(congruences, "_lucas", shifted)
     with pytest.raises(IdentityViolationError, match="disagrees with the closed form"):
         fermat_quotient_via_product(d, p)
 
@@ -193,9 +204,9 @@ def corrupt_ladder(monkeypatch, index, part):
     lucas, solve = congruences._lucas, congruences._solve_divisors
     asked, ghosts_solved = [], []
 
-    def corrupted(d, n):
+    def corrupted(P, Q, n):
         asked.append(n)
-        uv = list(lucas(d, n))
+        uv = list(lucas(P, Q, n))
         if n == index:
             uv[part] += 1
         return tuple(uv)
@@ -242,14 +253,16 @@ def test_witness_rejects_a_wrong_power_sum(monkeypatch, d, p, k):
     assert ghosts_solved == []
 
 
-@pytest.mark.parametrize("d", [1, 2, 7, 10**30])
-def test_lucas_ladder_matches_the_plain_recurrences(d):
-    # U_(n+1) = U_n + d U_(n-1) from (0, 1), V likewise from (2, 1)
-    u, v = [0, 1], [2, 1]
+@pytest.mark.parametrize("P, Q", [(1, -d) for d in (1, 2, 7, 10**30)] + [
+    (2 * d + 1, d * (d + 1)) for d in (-3, -1, 0, 1, 2, 7)  # the family's ghost
+] + [(2, 1), (3, 5)])  # D = P^2 - 4Q is 0, then negative
+def test_lucas_ladder_matches_the_plain_recurrences(P, Q):
+    # U_(n+1) = P U_n - Q U_(n-1) from (0, 1), V likewise from (2, P)
+    u, v = [0, 1], [2, P]
     for n in range(2, 301):
-        u.append(u[n - 1] + d * u[n - 2])
-        v.append(v[n - 1] + d * v[n - 2])
-    assert [congruences._lucas(d, n) for n in range(301)] == list(zip(u, v))
+        u.append(P * u[n - 1] - Q * u[n - 2])
+        v.append(P * v[n - 1] - Q * v[n - 2])
+    assert [congruences._lucas(P, Q, n) for n in range(301)] == list(zip(u, v))
 
 
 def test_witness_memory_is_linear_in_p():
@@ -290,9 +303,9 @@ def test_fermat_at_p_50021_runs_in_a_gigabyte():
 
 
 def test_paper_routes_divide_only_by_sparse_series(monkeypatch, capsys):
-    # the family comes from the ghosts of its two-term factors; a dense
-    # divisor means an O(N^2) log-derivative.  The witness reads Lucas
-    # ladders and divides no series at all.
+    # the family's ghost comes from one division by the three-term product
+    # of its factors; a dense divisor means an O(N^2) log-derivative.  The
+    # witness and the quotient read Lucas ladders and divide no series.
     divide = series._divide
     divisor_sizes = []
 
@@ -304,17 +317,10 @@ def test_paper_routes_divide_only_by_sparse_series(monkeypatch, capsys):
     monkeypatch.setattr(congruences, "_divide", recording)
     congruences._witness.cache_clear()
     fermat_witness(2, 31)
+    fermat_quotient_via_product(2, 31)
     assert divisor_sizes == []
-    routes = {
-        "fermat_quotient_via_product": lambda: fermat_quotient_via_product(2, 31),
-        "family --expand": lambda: main(
-            ["family", "--d", "2", "--order", "300", "--expand"]),
-    }
-    for name, route in routes.items():
-        divisor_sizes.clear()
-        route()
-        assert divisor_sizes, name
-        assert max(divisor_sizes) <= 3, name
+    main(["family", "--d", "2", "--order", "300", "--expand"])
+    assert divisor_sizes == [3]
     capsys.readouterr()
 
 
