@@ -253,10 +253,20 @@ def test_witness_rejects_a_wrong_power_sum(monkeypatch, d, p, k):
     assert ghosts_solved == []
 
 
-@pytest.mark.parametrize("P, Q", [(1, -d) for d in (1, 2, 7, 10**30)] + [
+@pytest.mark.parametrize("d", [1, 2, 7, 10**30])
+def test_lucas_ladder_matches_the_plain_recurrences(d):
+    # U_(n+1) = U_n + d U_(n-1) from (0, 1), V likewise from (2, 1)
+    u, v = [0, 1], [2, 1]
+    for n in range(2, 301):
+        u.append(u[n - 1] + d * u[n - 2])
+        v.append(v[n - 1] + d * v[n - 2])
+    assert [congruences._lucas(1, -d, n) for n in range(301)] == list(zip(u, v))
+
+
+@pytest.mark.parametrize("P, Q", [
     (2 * d + 1, d * (d + 1)) for d in (-3, -1, 0, 1, 2, 7)  # the family's ghost
 ] + [(2, 1), (3, 5)])  # D = P^2 - 4Q is 0, then negative
-def test_lucas_ladder_matches_the_plain_recurrences(P, Q):
+def test_lucas_ladder_matches_the_general_recurrences(P, Q):
     # U_(n+1) = P U_n - Q U_(n-1) from (0, 1), V likewise from (2, P)
     u, v = [0, 1], [2, P]
     for n in range(2, 301):
