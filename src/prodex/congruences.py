@@ -204,24 +204,23 @@ def _lucas(P: int, Q: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=1024, typed=True)
 def _witness(d: int, p: int) -> FermatWitness:
     # f = 1 - x - d x^2 has the ghost V_k, its roots' power sums, and 1/f the
-    # coefficients g_k = U_(k+1); the identity reads both at k | 2p only
+    # coefficients g_k = U_(k+1) (P = 1, Q = -d), read at k | 2p only: from one
+    # ladder at p, and at 2p by doubling, U_2p = U_p V_p and V_2p = V_p^2 - 2Q^p
+    u_p, v_p = _lucas(1, -d, p)
+    d_p, d1_p, vv_p = d ** p, (d + 1) ** p, v_p * v_p  # each once, for every use
+    if vv_p - (1 + 4 * d) * u_p * u_p != -4 * d_p:  # V^2 - D U^2 = 4Q^p, D = 1+4d
+        raise IdentityViolationError(f"V^2 - (1+4d)U^2 != 4(-d)^p at d={d}, p={p}")
     m_ghost, n_ghost = {}, {}
-    for k in (1, 2, p, 2 * p):
-        # n must come from the coefficients of 1/f.  Taking it by negating m's
-        # ghost would make n a function of m by construction, and the index-2p
-        # identity below would then hold whatever the expansion computed.
-        (g_k2, _), (g_k1, v_k), (g_k, _) = (_lucas(1, -d, j) for j in (k - 1, k, k + 1))
-        # 1/f's ghost -x g'/g is -x g' * f only if g * f = 1, here at x^k
-        if g_k != g_k1 + d * g_k2:
-            raise IdentityViolationError(f"1/f times f is not 1 at d={d}, p={p}")
-        # V^2 - D U^2 = 4Q^k, D = 1+4d, ties the ladders, neither derived from the other
-        if v_k * v_k - (1 + 4 * d) * g_k1 * g_k1 != 4 * (-d) ** k:
-            raise IdentityViolationError(f"V^2 - (1+4d)U^2 != 4(-d)^k at d={d}, p={p}")
+    for k, u_k, v_k in ((1, 1, 1), (2, 1, 1 + 2 * d), (p, u_p, v_p),
+                        (2 * p, u_p * v_p, vv_p + 2 * d_p)):
+        g_k, g_k2 = (u_k + v_k) // 2, (v_k - u_k) // (2 * d)  # U_(k+1), U_(k-1)
         m_ghost[k] = v_k
-        n_ghost[k] = -k * g_k + (k - 1) * g_k1 + d * (k - 2) * g_k2
+        # n from 1/f's ghost -x g' * f, which is -V_k by algebra: the balance
+        # below checks the derivation of g and this formula, not two independent
+        # ladders; the closed-form check stays the independent route
+        n_ghost[k] = -k * g_k + (k - 1) * u_k + d * (k - 2) * g_k2
     m_p, m_2p = itemgetter(p, 2 * p)(_solve_divisors(m_ghost))
     n_p, n_2p = itemgetter(p, 2 * p)(_solve_divisors(n_ghost))
-    d_p, d1_p = d ** p, (d + 1) ** p  # each closed form once, for both checks
     lhs = 2 * p * m_2p + p * m_p * m_p + 2 * d_p + 1
     rhs = -2 * p * n_2p - p * n_p * n_p + 2 * d1_p - 1
     if lhs != rhs:
@@ -243,8 +242,8 @@ def _witness(d: int, p: int) -> FermatWitness:
 
 def fermat_witness(d: int, p: int) -> FermatWitness:
     """Solve the exponents of f = 1 - x - d x^2 and of 1/f at 1, 2, p, 2p,
-    the divisors of 2p, and balance the index-2p identity exactly.  Results
-    are cached per (d, p): immutable, and fermat_check sums many of them."""
+    the divisors of 2p, from one Lucas ladder at p, and balance the index-2p
+    identity exactly.  Immutable, so cached per (d, p): fermat_check sums many."""
     _require_quotient_args(d, p)
     return _witness(d, p)
 

@@ -178,7 +178,8 @@ def test_witness_identity_is_tail_independent():
     assert m_2p + n_2p + m_p**2 == fermat_witness(d, p).quotient
 
 
-@pytest.mark.parametrize("d, p", [(1, 3), (1, 101), (2, 31), (5, 53)])
+@pytest.mark.parametrize("d, p", [(1, 3), (1, 101), (2, 31), (5, 53), (1000, 31),
+                                  (10**30, 7)])
 def test_witness_matches_oracle_expansion(d, p):
     # the witness's m and n must agree with the partial-product expansion
     # of f = 1 - x - d x^2 and of its reciprocal series
@@ -191,11 +192,6 @@ def test_witness_matches_oracle_expansion(d, p):
 
 
 WITNESS_PAIRS = [(1, 5), (2, 7), (3, 13), (1, 31)]
-
-
-def ladder_indices_read(p):
-    """U is read at k - 1, k and k + 1 for each divisor k of 2p."""
-    return {k + i for k in (1, 2, p, 2 * p) for i in (-1, 0, 1)}
 
 
 def corrupt_ladder(monkeypatch, index, part):
@@ -225,32 +221,39 @@ def corrupt_ladder(monkeypatch, index, part):
     (d, p, k) for d, p in WITNESS_PAIRS for k in range(2 * p + 2)
 ])
 def test_witness_rejects_a_wrong_reciprocal_coefficient(monkeypatch, d, p, k):
-    # n is read from the coefficients g_j = U_(j+1) of 1/f through the
-    # ghost -x g' * f, which is 1/f's ghost only if g * f = 1.  So a
-    # corrupted U_k the witness reads must be caught by the g * f check,
-    # before any ghost is solved; an index it does not read is never asked
-    # of the ladder and leaves the witness as it is.
+    # 1/f's coefficients g_j = U_(j+1) that the witness reads are constants
+    # near 1 and 2 and follow from the one ladder result (U_p, V_p) near p
+    # and 2p.  So a corrupted U_p must be caught by the V^2 - (1+4d)U^2
+    # check, before any ghost is solved; no other index is asked of the
+    # ladder, and corrupting it leaves the witness as it is.
     expected = fermat_witness(d, p)
     asked, ghosts_solved = corrupt_ladder(monkeypatch, k, 0)
-    if k in ladder_indices_read(p):
-        with pytest.raises(IdentityViolationError, match="1/f times f is not 1"):
+    if k == p:
+        with pytest.raises(IdentityViolationError, match=r"V\^2 - \(1\+4d\)U\^2"):
             fermat_witness(d, p)
         assert ghosts_solved == []
     else:
         assert fermat_witness(d, p) == expected
-        assert k not in asked
+    assert asked == [p]
 
 
 @pytest.mark.parametrize("d, p, k", [
     (d, p, k) for d, p in WITNESS_PAIRS for k in (1, 2, p, 2 * p)
 ])
 def test_witness_rejects_a_wrong_power_sum(monkeypatch, d, p, k):
-    # m is read from f's ghost V_k, which no recurrence of U checks; the
-    # identity V_k^2 - (1+4d) U_k^2 = 4(-d)^k ties it to the other ladder
-    _, ghosts_solved = corrupt_ladder(monkeypatch, k, 1)
-    with pytest.raises(IdentityViolationError, match=r"V\^2 - \(1\+4d\)U\^2"):
-        fermat_witness(d, p)
-    assert ghosts_solved == []
+    # m is read from f's ghost V_k: the constants 1 and 1 + 2d at 1 and 2,
+    # the ladder's V_p at p and its doubling at 2p.  The identity
+    # V_p^2 - (1+4d) U_p^2 = 4(-d)^p ties V_p to U_p; the ladder is never
+    # asked at 1, 2 or 2p, so corrupting it there changes nothing.
+    expected = fermat_witness(d, p)
+    asked, ghosts_solved = corrupt_ladder(monkeypatch, k, 1)
+    if k == p:
+        with pytest.raises(IdentityViolationError, match=r"V\^2 - \(1\+4d\)U\^2"):
+            fermat_witness(d, p)
+        assert ghosts_solved == []
+    else:
+        assert fermat_witness(d, p) == expected
+    assert asked == [p]
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 10**30])
