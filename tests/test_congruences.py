@@ -221,11 +221,10 @@ def corrupt_ladder(monkeypatch, index, part):
     (d, p, k) for d, p in WITNESS_PAIRS for k in range(2 * p + 2)
 ])
 def test_witness_rejects_a_wrong_reciprocal_coefficient(monkeypatch, d, p, k):
-    # 1/f's coefficients g_j = U_(j+1) that the witness reads are constants
-    # near 1 and 2 and follow from the one ladder result (U_p, V_p) near p
-    # and 2p.  So a corrupted U_p must be caught by the V^2 - (1+4d)U^2
-    # check, before any ghost is solved; no other index is asked of the
-    # ladder, and corrupting it leaves the witness as it is.
+    # the witness reads U only at p, in the V^2 - (1+4d)U^2 check that ties
+    # the ladder's V_p to U_p.  So a corrupted U_p must be caught there,
+    # before any ghost is solved; no other index is asked of the ladder, and
+    # corrupting it leaves the witness as it is.
     expected = fermat_witness(d, p)
     asked, ghosts_solved = corrupt_ladder(monkeypatch, k, 0)
     if k == p:
@@ -241,10 +240,10 @@ def test_witness_rejects_a_wrong_reciprocal_coefficient(monkeypatch, d, p, k):
     (d, p, k) for d, p in WITNESS_PAIRS for k in (1, 2, p, 2 * p)
 ])
 def test_witness_rejects_a_wrong_power_sum(monkeypatch, d, p, k):
-    # m is read from f's ghost V_k: the constants 1 and 1 + 2d at 1 and 2,
-    # the ladder's V_p at p and its doubling at 2p.  The identity
-    # V_p^2 - (1+4d) U_p^2 = 4(-d)^p ties V_p to U_p; the ladder is never
-    # asked at 1, 2 or 2p, so corrupting it there changes nothing.
+    # m is read from f's ghost V_k and n from its negation: the constants 1
+    # and 1 + 2d at 1 and 2, the ladder's V_p at p and its doubling at 2p.
+    # The identity V_p^2 - (1+4d) U_p^2 = 4(-d)^p ties V_p to U_p; the ladder
+    # is never asked at 1, 2 or 2p, so corrupting it there changes nothing.
     expected = fermat_witness(d, p)
     asked, ghosts_solved = corrupt_ladder(monkeypatch, k, 1)
     if k == p:
@@ -254,6 +253,25 @@ def test_witness_rejects_a_wrong_power_sum(monkeypatch, d, p, k):
     else:
         assert fermat_witness(d, p) == expected
     assert asked == [p]
+
+
+@pytest.mark.parametrize("d, p", WITNESS_PAIRS)
+def test_witness_closed_form_check_catches_a_wrong_exponent(monkeypatch, d, p):
+    # the quotient m_2p + n_2p + m_p^2 does not depend on V_p, so only the
+    # closed form can see a wrong solve: n_2p one too large must be rejected
+    solve, solved = congruences._solve_divisors, []
+
+    def shifted(ghost):
+        exps = solve(ghost)
+        solved.append(ghost)
+        if len(solved) == 2:  # the second solve is n's
+            exps[2 * p] += 1
+        return exps
+
+    monkeypatch.setattr(congruences, "_solve_divisors", shifted)
+    congruences._witness.cache_clear()
+    with pytest.raises(IdentityViolationError, match="disagrees with the closed form"):
+        fermat_witness(d, p)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 10**30])
