@@ -40,8 +40,9 @@ from .series import GhostSequence, TruncatedSeries, _parse_int, _Record
 BUILTIN_DEFAULT_ORDER = 64
 ORDER_ENV_VAR = "PRODEX_DEFAULT_ORDER"
 
-# entries per write of a sequence record: bounds the text held at once
-_CHUNK = 4096
+# value bits per write of a sequence record, each entry counting its bit
+# length plus 32 for its index and separators (about 40 KB of text)
+_BITS = 1 << 17
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,16 +130,28 @@ def _print(fields: dict, fmt: str, plain: str) -> None:
 
 def _emit(record: _Record, fmt: str) -> None:
     """The bytes of print(json.dumps(record.to_json_dict())) or
-    print(record.to_plain()), written _CHUNK entries at a time."""
+    print(record.to_plain()), in chunks of at most _BITS bits or of one
+    bigger entry: the step halves while a chunk is over budget and doubles
+    after one under half of it, following the values' size along the record."""
     values, write = record[0], sys.stdout.write  # per call: redirect_stdout swaps it
     sep, end = ('", "', '"]}\n') if fmt == "json" else ("\n", "\n")
     if fmt == "json":
         write(f'{{"order": {record.order}, "{record.FIELD}": ["')
-    # two writes per chunk, as print makes: text + sep would copy the chunk
-    for lo in range(0, len(values), _CHUNK):
-        write(sep.join(map(str, values[lo : lo + _CHUNK])) if fmt == "json"
-              else record._plain_lines(lo, lo + _CHUNK))
-        write(sep if lo + _CHUNK < len(values) else end)
+    lo, step = 0, _BITS // 32
+    while lo < len(values):
+        chunk = values[lo : lo + step]
+        bits = sum(map(int.bit_length, chunk)) + 32 * len(chunk)
+        if bits > _BITS and len(chunk) > 1:
+            step = len(chunk) // 2
+            continue
+        hi = lo + len(chunk)
+        # two writes per chunk, as print makes: text + sep would copy the chunk
+        write(sep.join(map(str, chunk)) if fmt == "json"
+              else record._plain_lines(lo, hi))
+        write(sep if hi < len(values) else end)
+        if 2 * bits < _BITS:
+            step *= 2
+        lo = hi
 
 
 # ---------------------------------------------------------------------------

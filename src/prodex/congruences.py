@@ -199,9 +199,11 @@ def _lucas(P: int, Q: int, n: int) -> tuple[int, int]:
     return u, v
 
 
-# Bounded so a long-running process cannot grow it without limit.  A sweep
-# of fermat_check over a = 1..50 at one p reuses only that p's 49 witnesses.
-@lru_cache(maxsize=1024, typed=True)
+# Sized for one sweep: fermat_check over a = 1..50 at one p reuses that p's
+# 49 witnesses.  The CLI never hits it (each command is one process, and
+# check asks for distinct d), so a larger cache would only keep check --a A's
+# A - 1 witnesses alive.
+@lru_cache(maxsize=64, typed=True)
 def _witness(d: int, p: int) -> FermatWitness:
     # f = 1 - x - d x^2 has the ghost V_k (P = 1, Q = -d), read at k | 2p only:
     # constants at 1 and 2, one ladder at p, and V_2p = V_p^2 - 2Q^p by doubling

@@ -391,6 +391,18 @@ def test_fermat_check_true(a, p):
     assert fermat_check(a, p) is True
 
 
+def test_witness_cache_holds_one_sweep_not_every_witness():
+    congruences._witness.cache_clear()
+    fermat_check(150, 10007)
+    assert congruences._witness.cache_info().currsize <= 64
+    # a criterion-07 sweep over a = 1..50 at one p, run twice: the second
+    # finds each of that p's 49 witnesses in the cache
+    congruences._witness.cache_clear()
+    for _ in range(2):
+        assert all(fermat_check(a, 97) for a in range(1, 51))
+        assert congruences._witness.cache_info().misses == 49
+
+
 def test_fermat_check_rejects_composite_modulus():
     with pytest.raises(NotPrimeError):
         fermat_check(10, 6)
