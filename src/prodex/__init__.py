@@ -18,7 +18,5 @@ from .series import *
 __version__ = "0.1.0"
 
 # each layer's __all__ is the one list of its public names
-__all__ = list(dict.fromkeys(
-    series.__all__ + products.__all__ + ghost.__all__ + congruences.__all__
-    + errors.__all__
-))
+__all__ = (series.__all__ + products.__all__ + ghost.__all__ + congruences.__all__
+           + errors.__all__)

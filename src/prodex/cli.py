@@ -29,13 +29,13 @@ from .congruences import (
 )
 from .ghost import exponents_from_ghost, ghost_from_exponents
 from .products import (
-    ProductExpansion,
     expand_to_product,
     inverse_sequence,
     product_to_series,
     tilde_transform,
 )
-from .series import GhostSequence, TruncatedSeries, _parse_int, _Record
+from .series import (GhostSequence, ProductExpansion, TruncatedSeries, _parse_int,
+                     _Record)
 
 BUILTIN_DEFAULT_ORDER = 64
 ORDER_ENV_VAR = "PRODEX_DEFAULT_ORDER"
@@ -95,18 +95,11 @@ def _effective_order(args, intrinsic: int | None) -> int:
 
 
 def _read_record(args, kind: type[_Record]) -> _Record:
-    """The input record from --<FIELD>, --input or --ones, zero-padded or
-    truncated to the effective order.  An inline list is read as the JSON
-    record {FIELD: [items]}, so both sources share one parser."""
+    """The input record from --<FIELD>, --input or --ones, whichever one the
+    parser let through, zero-padded or truncated to the effective order.  An
+    inline list is read as the JSON record {FIELD: [items]}: one parser."""
     inline = getattr(args, kind.FIELD)
-    ones = getattr(args, "ones", False)
-    flags = [f"--{kind.FIELD}", "--input"] + (["--ones"] if "ones" in args else [])
-    given = (inline is not None) + (args.input is not None) + ones
-    if given > 1:
-        raise _UsageError("give only one of " + ", ".join(flags))
-    if not given:
-        raise _UsageError(f"{kind.FIELD} required: one of " + ", ".join(flags))
-    if ones:
+    if getattr(args, "ones", False):
         return kind((1,) * _effective_order(args, intrinsic=None))
     if inline is not None:
         source = f"--{kind.FIELD}"
@@ -120,7 +113,7 @@ def _read_record(args, kind: type[_Record]) -> _Record:
         raise _UsageError(f"{source}: bad {kind.FIELD} record: {exc}") from None
     length = _effective_order(args, len(values) + kind.START - 1) + 1 - kind.START
     values[length:] = [0] * (length - len(values))  # truncated or zero-padded
-    return kind(tuple(values))
+    return kind(values)
 
 
 def _print(fields: dict, fmt: str, plain: str) -> None:
@@ -281,12 +274,13 @@ def _build_parser() -> _Parser:
     }
     for name, (kind, operation, text) in sequence_commands.items():
         p = sub.add_parser(name, parents=[ordered], help=text)
-        p.add_argument(f"--{kind.FIELD}",
-                       help=f"comma-separated {_INLINE_HELP[kind.FIELD]}")
-        p.add_argument("--input", help=f"JSON file {{order, {kind.FIELD}}}")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument(f"--{kind.FIELD}",
+                            help=f"comma-separated {_INLINE_HELP[kind.FIELD]}")
+        source.add_argument("--input", help=f"JSON file {{order, {kind.FIELD}}}")
         if kind is ProductExpansion:
-            p.add_argument("--ones", action="store_true",
-                           help="use the all-ones exponent sequence")
+            source.add_argument("--ones", action="store_true",
+                                help="use the all-ones exponent sequence")
         if name == "invert":
             p.add_argument("--tilde", action="store_true",
                            help="negate the result (the 1+e_k x^k convention)")
@@ -301,13 +295,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fermat", parents=[base],
                        help="index-2p identity witness and Fermat quotient")
-    p.add_argument("--d", type=_int_flag(1), required=True)
+    p.add_argument("--d", type=_int_flag(), required=True)
     p.add_argument("--p", type=_int_flag(), required=True, help="an odd prime")
     p.set_defaults(handler=_cmd_fermat)
 
     p = sub.add_parser("check", parents=[base],
                        help="verify p | a^p - a by two routes")
-    p.add_argument("--a", type=_int_flag(1), required=True)
+    p.add_argument("--a", type=_int_flag(), required=True)
     p.add_argument("--p", type=_int_flag(), required=True, help="a prime")
     p.set_defaults(handler=_cmd_check)
 

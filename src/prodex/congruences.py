@@ -123,7 +123,7 @@ def rational_family_series(d: int, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     num, den = (make_series([1, -a] + [0] * (order - 1)) for a in (d + 1, d))
-    f = TruncatedSeries(tuple(_divide(den.coeffs, list(num.coeffs))))
+    f = TruncatedSeries(_divide(den.coeffs, list(num.coeffs)))
     if mul(den, f) != num:
         raise IdentityViolationError(
             f"(1-dx) * family(d={d}) failed to telescope to 1-(d+1)x"
@@ -136,7 +136,7 @@ def _family_exponents(d: int, order: int) -> ProductExpansion:
     ghost x/((1-(d+1)x)(1-dx)) = sum U_N(2d+1, d(d+1)) x^N, read from one
     division by the three-term product 1 - (2d+1)x + d(d+1)x^2."""
     u = _divide((1, -2 * d - 1, d * (d + 1)) + (0,) * order, [1] + [0] * (order - 1))
-    return exponents_from_ghost(GhostSequence(tuple(u)))  # U_1..U_order
+    return exponents_from_ghost(GhostSequence(u))  # U_1..U_order
 
 
 def _require_prime(p: int) -> None:
@@ -146,9 +146,9 @@ def _require_prime(p: int) -> None:
 
 def _require_quotient_args(d: int, p: int) -> None:
     """The domain of the quotient ((d+1)^p - d^p - 1)/p as the index-p and
-    index-2p derivations read it: d >= 1 and p an odd prime."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    index-2p derivations read it: d an int >= 1 and p an odd prime."""
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be an int >= 1, got {d!r}")
     _require_prime(p)
     if p == 2:
         raise ValueError("p = 2 is excluded; the index-2p derivation needs odd p")
@@ -369,4 +369,4 @@ def partition_numbers(order: int) -> PartitionTable:
                     break
                 acc = op(acc, table[n - g])
             table[n] = acc
-    return PartitionTable(tuple(table))
+    return PartitionTable(table)

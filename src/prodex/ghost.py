@@ -18,7 +18,6 @@ from .errors import NotRealizableError
 from .series import GhostSequence, ProductExpansion, _require_same_order
 
 __all__ = [
-    "GhostSequence",
     "ghost_from_exponents",
     "exponents_from_ghost",
     "verify_reciprocal_identity",
@@ -56,10 +55,10 @@ def _divisor_sums(exps: Sequence[int], order: int) -> Iterator[int]:
 def ghost_from_exponents(m: ProductExpansion) -> GhostSequence:
     """L_N = sum_{s|N} m_{N/s}^s * (N/s) for N = 1..order."""
     exps = m.exponents
-    return GhostSequence(tuple(
+    return GhostSequence(
         partial + n * exps[n - 1]
         for n, partial in enumerate(_divisor_sums(exps, m.order), start=1)
-    ))
+    )
 
 
 def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
@@ -77,7 +76,7 @@ def exponents_from_ghost(ghost: GhostSequence) -> ProductExpansion:
             raise NotRealizableError(n, remainder)
         exps[n - 1] = mn
     del sums  # frees the kernel's last block of partial sums before the tuple copy
-    return ProductExpansion(tuple(exps))
+    return ProductExpansion(exps)
 
 
 def _solve_divisors(ghost: dict[int, int]) -> dict[int, int]:

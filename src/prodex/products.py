@@ -14,7 +14,6 @@ from .ghost import exponents_from_ghost, ghost_from_exponents
 from .series import ProductExpansion, TruncatedSeries, neg_x_log_derivative
 
 __all__ = [
-    "ProductExpansion",
     "expand_to_product",
     "product_to_series",
     "inverse_sequence",
@@ -40,7 +39,7 @@ def product_to_series(m: ProductExpansion) -> TruncatedSeries:
         if mk:
             for j in range(n, k - 1, -1):
                 out[j] -= mk * out[j - k]
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def inverse_sequence(m: ProductExpansion) -> ProductExpansion:
@@ -55,4 +54,4 @@ def inverse_sequence(m: ProductExpansion) -> ProductExpansion:
 
 def tilde_transform(m: ProductExpansion) -> ProductExpansion:
     """Elementwise negation; flips the factor convention to (1 + m_k x^k)."""
-    return ProductExpansion(tuple(-e for e in m.exponents))
+    return ProductExpansion(-e for e in m.exponents)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import filterfalse
 
 from .errors import NonUnitConstantError, OrderMismatchError
 
 __all__ = [
     "TruncatedSeries",
     "GhostSequence",
+    "ProductExpansion",
     "make_series",
     "truncate",
     "mul",
@@ -43,7 +45,7 @@ class _Value:
 
 class _Record(_Value):
     """An exact integer sequence whose first entry has index START, held as
-    a tuple in the record's one field, named FIELD.
+    a tuple, of whatever iterable it is given, in its one field, FIELD.
 
     This one base gives every sequence record its validation, its order
     (the index of the last entry), its JSON form and its plain "k v" lines.
@@ -56,14 +58,11 @@ class _Record(_Value):
         cls.FIELD = cls._fields[0]
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        cls._require_values(self[0])
-        for v in self[0]:
-            if not isinstance(v, int):
-                raise TypeError(
-                    f"{cls.FIELD} must be ints, got {type(v).__name__}: {v!r}"
-                )
-        return self
+        values = tuple(super().__new__(cls, *args, **kwargs)[0])
+        cls._require_values(values)
+        for v in filterfalse(_is_int, values):
+            raise TypeError(f"{cls.FIELD} must be ints, got {type(v).__name__}: {v!r}")
+        return super().__new__(cls, values)
 
     @classmethod
     def _require_values(cls, values) -> None:
@@ -86,7 +85,7 @@ class _Record(_Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "_Record":
-        return cls(tuple(cls._json_values(data, in_place=False)))
+        return cls(cls._json_values(data, in_place=False))
 
     @classmethod
     def _json_values(cls, data: dict, in_place: bool) -> list[int]:
@@ -136,7 +135,7 @@ class GhostSequence(_Record, namedtuple("GhostSequence", "values")):
     START = 1
 
     def negated(self) -> "GhostSequence":
-        return GhostSequence(tuple(-v for v in self.values))
+        return GhostSequence(-v for v in self.values)
 
 
 class ProductExpansion(_Record, namedtuple("ProductExpansion", "exponents")):
@@ -151,12 +150,18 @@ class ProductExpansion(_Record, namedtuple("ProductExpansion", "exponents")):
     START = 1
 
 
+def _is_int(value) -> bool:
+    """The one value rule of record entries and parsed input: an exact int."""
+    return type(value) is int
+
+
 def _parse_int(value) -> int:
-    """The one integer parser for outside input: a non-bool int, or an
-    ASCII decimal string -?[0-9]+.  int() alone would also take floats,
-    bools, "+1", " 1", "1_0" and digits of other scripts, which isdigit()
-    accepts too unless the string is ASCII."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """The one integer parser for outside input: an exact int (no bool or
+    other subclass, which need not print as its value), or an ASCII decimal
+    string -?[0-9]+.  int() alone would also take floats, bools, "+1", " 1",
+    "1_0" and digits of other scripts, which isdigit() accepts too unless
+    the string is ASCII."""
+    if _is_int(value):
         return value
     if isinstance(value, str):
         digits = value[1:] if value[:1] == "-" else value
@@ -166,8 +171,8 @@ def _parse_int(value) -> int:
 
 
 def make_series(coeffs: Iterable[int]) -> TruncatedSeries:
-    """Build a series from c_0..c_N; the order is len(coeffs) - 1."""
-    return TruncatedSeries(tuple(coeffs))
+    """Build a series from c_0..c_N, any iterable of ints; the order is N."""
+    return TruncatedSeries(coeffs)
 
 
 def truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -197,7 +202,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         if ai:
             for j in range(n + 1 - i):
                 out[i + j] += ai * bc[j]
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
@@ -207,7 +212,7 @@ def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
     c0 = c[0]
     if c0 not in (1, -1):
         raise NonUnitConstantError(f"constant term must be +1 or -1, got {c0}")
-    return TruncatedSeries(tuple(_divide(c, [1] + [0] * f.order)))
+    return TruncatedSeries(_divide(c, [1] + [0] * f.order))
 
 
 def derivative(f: TruncatedSeries) -> TruncatedSeries:
@@ -217,7 +222,7 @@ def derivative(f: TruncatedSeries) -> TruncatedSeries:
     c = f.coeffs
     out = [(k + 1) * c[k + 1] for k in range(n)]
     out.append(0)
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def neg_x_log_derivative(f: TruncatedSeries) -> GhostSequence:
@@ -232,7 +237,7 @@ def neg_x_log_derivative(f: TruncatedSeries) -> GhostSequence:
         raise NonUnitConstantError(f"constant term must be 1, got {c[0]}")
     if f.order < 1:
         raise ValueError("need order >= 1 to produce a ghost sequence")
-    return GhostSequence(tuple(_divide(c, [-n * cn for n, cn in enumerate(c)])[1:]))
+    return GhostSequence(_divide(c, [-n * cn for n, cn in enumerate(c)])[1:])
 
 
 def _divide(c: tuple[int, ...], rhs: list[int]) -> list[int]:

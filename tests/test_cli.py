@@ -134,6 +134,18 @@ def test_fermat_rejects_composite(capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fermat", "--d", "0", "--p", "3"], "d must be an int >= 1, got 0"),
+    (["fermat", "--d", "-2", "--p", "3"], "d must be an int >= 1, got -2"),
+    (["check", "--a", "0", "--p", "3"], "a must be >= 1"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_fermat_domain_is_checked_by_the_library(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"prodex: error: {message}\n"
+
+
 def test_check_command(capsys):
     code, out, _ = run(capsys, "check", "--a", "10", "--p", "7", "--format", "json")
     assert code == 0
@@ -235,7 +247,46 @@ def test_unknown_command_is_usage_error(capsys):
 def test_conflicting_inputs_are_usage_error(capsys):
     code, _, err = run(capsys, "invert", "--ones", "--exponents", "1,2")
     assert code == 1
-    assert "only one" in err
+    assert "not allowed with" in err
+
+
+# each sequence command's record sources: one argparse group, exactly one required
+SOURCES = {"expand": ["--coeffs", "--input"], "unghost": ["--values", "--input"],
+           **{name: ["--exponents", "--input", "--ones"]
+              for name in ("series", "invert", "ghost")}}
+
+
+@pytest.mark.parametrize("command", SOURCES)
+def test_sequence_command_without_a_record_source_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command)
+    assert code == 1
+    assert out == ""
+    assert err == (f"prodex: error: one of the arguments {' '.join(SOURCES[command])}"
+                   " is required\n")
+
+
+@pytest.mark.parametrize("command, first, second", [
+    (command, first, second) for command, flags in SOURCES.items()
+    for i, first in enumerate(flags) for second in flags[i + 1:]])
+def test_sequence_command_with_two_record_sources_is_usage_error(
+        capsys, command, first, second):
+    value = {"--input": ["in.json"], "--ones": []}  # the parser refuses before any read
+    code, out, err = run(capsys, command, first, *value.get(first, ["1"]),
+                         second, *value.get(second, ["1"]))
+    assert code == 1
+    assert out == ""
+    assert err == f"prodex: error: argument {second}: not allowed with argument {first}\n"
+
+
+@pytest.mark.parametrize("command", SOURCES)
+def test_sequence_command_help_shows_one_required_source(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "(" + " | ".join(
+        flag if flag == "--ones" else f"{flag} {flag[2:].upper()}"
+        for flag in SOURCES[command]) + ")" in usage
 
 
 # each flag lives only on the subcommands that read it

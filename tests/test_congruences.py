@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -362,6 +363,14 @@ def test_witness_cache_keeps_each_callers_argument_type():
     assert fermat_witness(True, 3).to_json_dict()["d"] == "True"
     assert fermat_witness(1, 3).to_json_dict()["d"] == "1"
     assert fermat_witness(True, 3).to_json_dict()["d"] == "True"
+
+
+@pytest.mark.parametrize("d", [2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("route", [fermat_witness, fermat_quotient_via_product])
+def test_quotient_routes_refuse_a_d_that_is_not_an_int(route, d):
+    # 2.0 would run the whole derivation in floats and return float answers
+    with pytest.raises(ValueError, match="d must be an int >= 1"):
+        route(d, 5)
 
 
 def test_witness_rejects_even_prime():

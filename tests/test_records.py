@@ -1,13 +1,15 @@
 """What every record type promises: fields cannot be assigned, a record
 equals only a record of its own type with the same values, equal records
 hash equal, pickle and deepcopy give the record back, positional and
-keyword construction agree, and a sequence record rejects an empty or
-non-int value list."""
+keyword construction agree, and a sequence record stores any iterable of
+exact ints as a tuple and rejects an empty or non-int value list."""
 
 import copy
 import pickle
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prodex import (
     FermatWitness,
@@ -98,3 +100,50 @@ def test_sequence_records_reject_bad_values(kind):
     for bad in ("2", 2.0, None):
         with pytest.raises(TypeError):
             kind((1, bad))
+
+
+@pytest.mark.parametrize("kind", SEQUENCES, ids=lambda kind: kind.__name__)
+def test_sequence_records_store_any_iterable_as_a_tuple(kind):
+    built = [kind([4, 5, 6]), kind((4, 5, 6)), kind(range(4, 7)),
+             kind(v for v in (4, 5, 6))]
+    for record in built:
+        assert type(record[0]) is tuple
+        assert record == built[0]
+        assert hash(record) == hash(built[0])
+    assert len(set(built)) == 1
+
+
+@pytest.mark.parametrize("kind", SEQUENCES, ids=lambda kind: kind.__name__)
+def test_sequence_record_ignores_later_changes_to_its_source(kind):
+    source = [1, 2, 3]
+    record = kind(source)
+    source.append(True)
+    source[0] = 9
+    assert record[0] == (1, 2, 3)
+    assert record.order == kind((0, 0, 0)).order
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 0.5, "2"], ids=repr)
+@pytest.mark.parametrize("kind", SEQUENCES, ids=lambda kind: kind.__name__)
+def test_sequence_records_take_only_exact_ints_however_built(kind, bad):
+    values = (1, bad)
+    good = kind((1, 2))
+    for build in (lambda: kind(values), lambda: kind(**{kind.FIELD: values}),
+                  lambda: kind._make([values]),
+                  lambda: good._replace(**{kind.FIELD: values})):
+        # e.g. "coeffs must be ints, got float: 0.5"
+        message = f"{kind.FIELD} must be ints, got {type(bad).__name__}: {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+@given(st.sampled_from(SEQUENCES),
+       st.lists(st.integers() | st.booleans(), min_size=1, max_size=20))
+def test_every_record_built_round_trips_through_json(kind, values):
+    # a value the JSON reader would refuse must be refused on the way in
+    try:
+        record = kind(values)
+    except TypeError:
+        assert any(type(v) is bool for v in values)
+        return
+    assert kind.from_json_dict(record.to_json_dict()) == record
